@@ -8,9 +8,9 @@
 // nested-width vs split-budget scheduling on the narrow-outer/wide-inner
 // scenario, and the per-dataset compute cache on the FOSC scenario
 // (cache-on vs cache-off with hit counts and per-stage wall time) —
-// plus the distance-matrix build table (kernel x tiling x storage, with
-// the >= 2x acceptance row) and the f32-vs-f64 CVCP selection-agreement
-// ablation, both mirrored into BENCH_distance.json.
+// plus the distance-matrix build table (tiled build vs a per-pair loop
+// over the portable fixed-lane kernels) and the f32-vs-f64 CVCP
+// selection-agreement ablation, both written to BENCH_distance.json.
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
 // few engine options it supports (--threads N, --timings-file PATH,
@@ -84,14 +84,12 @@ std::vector<std::string> g_json_rows;
 
 void AddJsonRow(std::string row) { g_json_rows.push_back(std::move(row)); }
 
-// Rows of the distance-build and f32-ablation tables, mirrored into the
-// standalone BENCH_distance.json (--distance-json PATH) on top of the
-// regular BENCH_micro.json rows.
+// Rows of the distance-build and f32-ablation tables, written only to
+// the standalone BENCH_distance.json (--distance-json PATH).
 std::vector<std::string> g_distance_rows;
 
-void AddDistanceRow(const std::string& row) {
-  g_distance_rows.push_back(row);
-  g_json_rows.push_back(row);
+void AddDistanceRow(std::string row) {
+  g_distance_rows.push_back(std::move(row));
 }
 
 void WriteDistanceJsonReport(const std::string& path) {
@@ -227,38 +225,22 @@ void BM_MpckMeans(benchmark::State& state) {
 }
 BENCHMARK(BM_MpckMeans)->Arg(25)->Arg(50)->Arg(100);
 
-// Distance-kernel policies head to head (Arg0: 0 = scalar-legacy,
-// 1 = fixed-lane (SIMD-dispatched default), 2 = unrolled; Arg1: dims).
-// The policy rides in as an explicit argument — no process-wide state is
-// touched, exactly as the engine threads it through ExecutionContext.
+// The dispatched fixed-lane squared-Euclidean kernel (Arg: dims).
 void BM_SquaredEuclideanKernel(benchmark::State& state) {
-  static constexpr DistanceKernelPolicy kPolicies[] = {
-      DistanceKernelPolicy::kScalarLegacy,
-      DistanceKernelPolicy::kFixedLane,
-      DistanceKernelPolicy::kUnrolled,
-  };
-  const DistanceKernelPolicy policy =
-      kPolicies[static_cast<size_t>(state.range(0))];
   Rng rng(41);
-  std::vector<double> a(static_cast<size_t>(state.range(1)));
+  std::vector<double> a(static_cast<size_t>(state.range(0)));
   std::vector<double> b(a.size());
   for (size_t i = 0; i < a.size(); ++i) {
     a[i] = rng.NextDouble();
     b[i] = rng.NextDouble();
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SquaredEuclideanDistance(a, b, policy));
+    benchmark::DoNotOptimize(SquaredEuclideanDistance(a, b));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(a.size()));
 }
-BENCHMARK(BM_SquaredEuclideanKernel)
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({2, 16})
-    ->Args({0, 128})
-    ->Args({1, 128})
-    ->Args({2, 128});
+BENCHMARK(BM_SquaredEuclideanKernel)->Arg(16)->Arg(128);
 
 void BM_ConstraintFMeasure(benchmark::State& state) {
   Dataset data = BenchData(static_cast<size_t>(state.range(0)), 5, 8);
@@ -705,138 +687,108 @@ void PrintNestedVsSplitTable() {
   std::printf("\n");
 }
 
-// Distance-matrix build across the kernel × tiling × storage space on a
-// 64-dimensional blob set. The untiled scalar-legacy row is the pre-SIMD
-// baseline; the tiled fixed-lane row is today's default configuration and
-// its speedup column is the headline number (the CI acceptance bar is
-// >= 2x on this >= 32-dim dataset). Value checks ride along: the tiled
-// build must reproduce the untiled build bit for bit *per kernel policy*
-// and for any thread count, and the f32 row must hold exactly
-// float(f64_value) in every slot. Any check failure flips the process
-// exit code via g_determinism_ok, like the other tables.
+// Distance-matrix build on a 64-dimensional blob set, against a
+// bench-local baseline: a serial per-pair row sweep over the portable
+// fixed-lane kernels (no SIMD, no tiling). Every library build must
+// reproduce that baseline bit for bit — at 1 and 8 threads — and the f32
+// build must hold exactly float(baseline) in every slot. Any check
+// failure flips the process exit code via g_determinism_ok, like the
+// other tables.
 void PrintDistanceKernelTable() {
   Rng rng(53);
   Dataset data = MakeBlobs("kernel-bench", /*k=*/8, /*per_cluster=*/64,
                            /*dims=*/64, 10.0, 1.0, &rng);
   const Matrix& pts = data.points();
   const Metric metric = Metric::kEuclidean;
-
-  ExecutionContext legacy = ExecutionContext::Serial();
-  legacy.distance_kernel = DistanceKernelPolicy::kScalarLegacy;
-  ExecutionContext fixed = ExecutionContext::Serial();
-  fixed.distance_kernel = DistanceKernelPolicy::kFixedLane;
+  const size_t n = pts.rows();
+  const size_t d = pts.cols();
 
   std::printf(
-      "=== Distance-matrix build: kernel x tiling x storage "
+      "=== Distance-matrix build vs portable per-pair baseline "
       "(n=%zu, d=%zu, euclidean, arch=%s) ===\n",
-      pts.rows(), pts.cols(), DistanceKernelArch());
+      n, d, DistanceKernelArch());
   std::printf("%-24s %10s %9s  %s\n", "configuration", "wall_ms", "speedup",
               "values");
 
-  // Best-of-5 wall time; the first build is kept for the value checks.
-  auto time_best = [&](const std::function<DistanceMatrix()>& build,
-                       std::optional<DistanceMatrix>* out) {
+  // Best-of-5 wall time of `run`, which leaves its result in a local.
+  auto time_best = [](const std::function<void()>& run) {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 5; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      DistanceMatrix m = build();
-      const double ms = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-      best = std::min(best, ms);
-      if (rep == 0) *out = std::move(m);
+      run();
+      best = std::min(best, std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
     }
     return best;
   };
-  auto same_f64 = [](const DistanceMatrix& a, const DistanceMatrix& b) {
-    const std::vector<double>& x = a.condensed();
-    const std::vector<double>& y = b.condensed();
-    if (x.size() != y.size()) return false;
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (!BitsEqual(x[i], y[i])) return false;
+
+  const auto portable_sq = FixedLaneKernelsPortable().squared_euclidean;
+  std::vector<double> baseline;
+  const double ms_baseline = time_best([&] {
+    std::vector<double> out;
+    out.reserve(n * (n - 1) / 2);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        out.push_back(
+            std::sqrt(portable_sq(pts.Row(i).data(), pts.Row(j).data(), d)));
+      }
+    }
+    baseline = std::move(out);
+  });
+
+  auto same_as_baseline = [&](const DistanceMatrix& m) {
+    const bool f32 = m.storage() == DistanceStorage::kF32;
+    const size_t size = f32 ? m.condensed32().size() : m.condensed().size();
+    if (size != baseline.size()) return false;
+    for (size_t i = 0; i < size; ++i) {
+      const bool equal =
+          f32 ? std::bit_cast<uint32_t>(m.condensed32()[i]) ==
+                    std::bit_cast<uint32_t>(NarrowToF32(baseline[i]))
+              : BitsEqual(m.condensed()[i], baseline[i]);
+      if (!equal) return false;
     }
     return true;
   };
 
-  std::optional<DistanceMatrix> untiled_legacy, untiled_fixed, tiled_legacy,
-      tiled_fixed, tiled_fixed_t8, tiled_f32;
-  const double ms_untiled_legacy = time_best(
-      [&] { return DistanceMatrix::ComputeUntiled(pts, metric, legacy); },
-      &untiled_legacy);
-  const double ms_untiled_fixed = time_best(
-      [&] { return DistanceMatrix::ComputeUntiled(pts, metric, fixed); },
-      &untiled_fixed);
-  const double ms_tiled_legacy = time_best(
-      [&] { return DistanceMatrix::Compute(pts, metric, legacy); },
-      &tiled_legacy);
-  const double ms_tiled_fixed = time_best(
-      [&] { return DistanceMatrix::Compute(pts, metric, fixed); },
-      &tiled_fixed);
-  ExecutionContext fixed8 = fixed;
-  fixed8.threads = 8;
-  const double ms_tiled_fixed_t8 = time_best(
-      [&] { return DistanceMatrix::Compute(pts, metric, fixed8); },
-      &tiled_fixed_t8);
-  const double ms_tiled_f32 = time_best(
-      [&] {
-        return DistanceMatrix::Compute(pts, metric, fixed,
-                                       DistanceStorage::kF32);
-      },
-      &tiled_f32);
-
-  const bool tiled_legacy_ok = same_f64(*tiled_legacy, *untiled_legacy);
-  const bool tiled_fixed_ok = same_f64(*tiled_fixed, *untiled_fixed);
-  const bool threads_ok = same_f64(*tiled_fixed_t8, *tiled_fixed);
-  bool f32_ok =
-      tiled_f32->condensed32().size() == tiled_fixed->condensed().size();
-  for (size_t i = 0; f32_ok && i < tiled_f32->condensed32().size(); ++i) {
-    f32_ok = std::bit_cast<uint32_t>(tiled_f32->condensed32()[i]) ==
-             std::bit_cast<uint32_t>(
-                 NarrowToF32(tiled_fixed->condensed()[i]));
-  }
-  if (!tiled_legacy_ok || !tiled_fixed_ok || !threads_ok || !f32_ok) {
-    g_determinism_ok = false;
-  }
-
   auto emit = [&](const char* label, const char* kernel, bool tiled,
-                  const char* storage, int threads, double ms,
+                  DistanceStorage storage, int threads, double ms,
                   const char* values, bool values_ok) {
-    const double speedup = ms_untiled_legacy / ms;
+    const double speedup = ms_baseline / ms;
     std::printf("%-24s %10.2f %8.2fx  %s\n", label, ms, speedup, values);
     AddDistanceRow(Format(
         "{\"table\": \"distance_build\", \"config\": \"%s\", "
         "\"kernel\": \"%s\", \"tiled\": %s, \"storage\": \"%s\", "
         "\"threads\": %d, \"n\": %zu, \"dims\": %zu, \"wall_ms\": %.4f, "
         "\"speedup\": %.3f, \"values_ok\": %s}",
-        label, kernel, tiled ? "true" : "false", storage, threads,
-        pts.rows(), pts.cols(), ms, speedup, values_ok ? "true" : "false"));
+        label, kernel, tiled ? "true" : "false", DistanceStorageName(storage),
+        threads, n, d, ms, speedup, values_ok ? "true" : "false"));
   };
-  emit("untiled-scalar-legacy", "scalar-legacy", false, "f64", 1,
-       ms_untiled_legacy, "(baseline)", true);
-  emit("untiled-fixed-lane", "fixed-lane", false, "f64", 1, ms_untiled_fixed,
-       "(fixed-lane reference)", true);
-  emit("tiled-scalar-legacy", "scalar-legacy", true, "f64", 1,
-       ms_tiled_legacy,
-       tiled_legacy_ok ? "bitwise == untiled-scalar-legacy"
-                       : "NO — TILING CHANGED VALUES",
-       tiled_legacy_ok);
-  emit("tiled-fixed-lane", "fixed-lane", true, "f64", 1, ms_tiled_fixed,
-       tiled_fixed_ok ? "bitwise == untiled-fixed-lane"
-                      : "NO — TILING CHANGED VALUES",
-       tiled_fixed_ok);
-  emit("tiled-fixed-lane", "fixed-lane", true, "f64", 8, ms_tiled_fixed_t8,
-       threads_ok ? "bitwise == 1-thread build"
-                  : "NO — THREAD COUNT CHANGED VALUES",
-       threads_ok);
-  emit("tiled-fixed-lane-f32", "fixed-lane", true, "f32", 1, ms_tiled_f32,
-       f32_ok ? "== float(f64 values) exactly"
-              : "NO — F32 NARROWING MISMATCH",
-       f32_ok);
-  const double headline = ms_untiled_legacy / ms_tiled_fixed;
-  std::printf("default (tiled fixed-lane) vs scalar-legacy baseline: "
-              "%.2fx %s\n\n",
-              headline, headline >= 2.0 ? "(meets the 2x bar)"
-                                        : "(below the 2x bar)");
+  emit("portable-per-pair", "fixed-lane-portable", false,
+       DistanceStorage::kF64, 1, ms_baseline, "(baseline)", true);
+  struct Row {
+    const char* label;
+    int threads;
+    DistanceStorage storage;
+    const char* ok_text;
+  };
+  const Row rows[] = {
+      {"tiled", 1, DistanceStorage::kF64, "bitwise == baseline"},
+      {"tiled", 8, DistanceStorage::kF64, "bitwise == baseline"},
+      {"tiled-f32", 1, DistanceStorage::kF32, "== float(baseline) exactly"},
+  };
+  for (const Row& row : rows) {
+    ExecutionContext exec;
+    exec.threads = row.threads;
+    DistanceMatrix m;
+    const double ms = time_best(
+        [&] { m = DistanceMatrix::Compute(pts, metric, exec, row.storage); });
+    const bool ok = same_as_baseline(m);
+    if (!ok) g_determinism_ok = false;
+    emit(row.label, DistanceKernelArch(), true, row.storage, row.threads, ms,
+         ok ? row.ok_text : "NO — BUILD CHANGED VALUES", ok);
+  }
+  std::printf("\n");
 }
 
 // Does float32 distance storage change what CVCP *selects*? Runs the

@@ -175,9 +175,7 @@ TrialResult RunTrial(const Dataset& data,
               ? SilhouetteCoefficient(
                     *cache->Distances(Metric::kEuclidean, spec.exec),
                     clustering.value())
-              : SilhouetteCoefficient(data.points(), clustering.value(),
-                                      Metric::kEuclidean,
-                                      spec.exec.distance_kernel);
+              : SilhouetteCoefficient(data.points(), clustering.value());
     }
   });
   for (const Status& status : sweep_errors) {

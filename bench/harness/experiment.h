@@ -52,8 +52,7 @@ struct TrialSpec {
   bool with_silhouette = false;
   /// Total thread budget, shared by every nesting level (ALOI datasets >
   /// trials > CVCP grid×fold cells / full-supervision sweep); any thread
-  /// count yields identical results. Also carries the distance-kernel
-  /// policy every stage of the trial uses.
+  /// count yields identical results.
   ExecutionContext exec;
   /// Condensed distance-matrix storage for the caches this experiment
   /// creates (a run-wide `cache_pool` brings its own mode and ignores

@@ -35,14 +35,8 @@ bool ParseOnOff(const char* v, bool fallback) {
   return fallback;
 }
 
-/// Policy / storage spellings via the library parsers; anything
-/// unrecognized keeps `fallback`.
-DistanceKernelPolicy ParseKernel(const char* v, DistanceKernelPolicy fallback) {
-  DistanceKernelPolicy out = fallback;
-  if (v != nullptr) ParseDistanceKernelPolicy(v, &out);
-  return out;
-}
-
+/// Storage spellings via the library parser; anything unrecognized
+/// keeps `fallback`.
 DistanceStorage ParseStorage(const char* v, DistanceStorage fallback) {
   DistanceStorage out = fallback;
   if (v != nullptr) ParseDistanceStorage(v, &out);
@@ -73,8 +67,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   }
   o.store_capacity_mb = static_cast<int>(
       EnvLong("CVCP_STORE_CAPACITY_MB", o.store_capacity_mb));
-  o.distance_kernel =
-      ParseKernel(std::getenv("CVCP_DISTANCE_KERNEL"), o.distance_kernel);
   o.distance_storage =
       ParseStorage(std::getenv("CVCP_DISTANCE_STORAGE"), o.distance_storage);
   for (int i = 1; i < argc; ++i) {
@@ -108,9 +100,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
       if (i + 1 < argc) o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--store-capacity-mb") == 0) {
       o.store_capacity_mb = static_cast<int>(next_long(o.store_capacity_mb));
-    } else if (std::strcmp(argv[i], "--distance-kernel") == 0) {
-      if (i + 1 < argc) o.distance_kernel = ParseKernel(argv[++i],
-                                                        o.distance_kernel);
     } else if (std::strcmp(argv[i], "--distance-storage") == 0) {
       if (i + 1 < argc) o.distance_storage = ParseStorage(argv[++i],
                                                           o.distance_storage);
@@ -122,13 +111,6 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   if (o.threads < 0) o.threads = 0;  // 0 = all hardware threads
   if (o.trial_threads < 0) o.trial_threads = 0;  // 0 = automatic split
   if (o.store_capacity_mb < 1) o.store_capacity_mb = 1;
-  if (o.distance_kernel == DistanceKernelPolicy::kDefault) {
-    o.distance_kernel = DefaultDistanceKernelPolicy();
-  }
-  // The per-context policy (threaded through TrialSpec/ExecutionContext)
-  // is the real config; aligning the process default with it makes any
-  // stray kDefault resolution in library helpers agree with the run.
-  SetDefaultDistanceKernelPolicy(o.distance_kernel);
   return o;
 }
 
@@ -156,12 +138,11 @@ void PrintBanner(const BenchOptions& options, const std::string& title,
       options.nesting == NestingPolicy::kNested ? "nested" : "split";
   std::printf(
       "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s, %s, "
-      "%s scheduler, cache %s, %s kernels, %s distances "
+      "%s scheduler, cache %s, %s distances "
       "(--paper for full scale)\n\n",
       options.trials, options.aloi_datasets, options.n_folds,
       static_cast<unsigned long long>(options.seed), threads, lanes,
       scheduler, options.cache ? "on" : "off",
-      DistanceKernelPolicyName(options.distance_kernel),
       DistanceStorageName(options.distance_storage));
 }
 

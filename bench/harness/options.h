@@ -61,15 +61,6 @@ struct BenchOptions {
   /// reloaded or recomputed (env CVCP_STORE_CAPACITY_MB,
   /// flag `--store-capacity-mb N`).
   int store_capacity_mb = 256;
-  /// Distance-kernel policy for every distance computed by the run:
-  /// "fixed" (default; SIMD-dispatched fixed-lane kernels, byte-identical
-  /// across scalar/AVX2/NEON and any thread count), "scalar-legacy"
-  /// (pre-SIMD left-to-right sums), or "unrolled" (4-accumulator unroll;
-  /// neither matches the other two bitwise). Applied both process-wide
-  /// (the default every kDefault resolution sees) and on the execution
-  /// context threaded through the engine (env CVCP_DISTANCE_KERNEL,
-  /// flag `--distance-kernel`).
-  DistanceKernelPolicy distance_kernel = DistanceKernelPolicy::kFixedLane;
   /// Condensed distance-matrix storage: "f64" (default, bit-exact) or
   /// "f32" (half the bytes; distances are computed in f64 and rounded
   /// once on store). f32 runs keep their artifacts in a disjoint key
@@ -82,11 +73,7 @@ struct BenchOptions {
 /// `--folds N` / `--seed N` / `--threads N` / `--trial-threads N` /
 /// `--scheduler nested|split` / `--cache on|off` / `--timings-file PATH` /
 /// `--store DIR` / `--store-capacity-mb N` /
-/// `--distance-kernel fixed|scalar-legacy|unrolled` /
-/// `--distance-storage f64|f32` flags (flags win). Also applies the
-/// distance-kernel choice process-wide (SetDefaultDistanceKernelPolicy),
-/// so kDefault resolutions anywhere in the process agree with the
-/// explicit per-context policy.
+/// `--distance-storage f64|f32` flags (flags win).
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// One-line banner describing the reproduction target and the scale.

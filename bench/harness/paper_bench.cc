@@ -28,7 +28,6 @@ TrialSpec SpecFor(const PaperBenchContext& ctx, BenchAlgo algo,
   spec.grid = GridFor(algo, num_classes);
   spec.with_silhouette = algo != BenchAlgo::kFosc;
   spec.exec.threads = ctx.options.threads;
-  spec.exec.distance_kernel = ctx.options.distance_kernel;
   spec.distance_storage = ctx.options.distance_storage;
   spec.trial_threads = ctx.options.trial_threads;
   spec.nesting = ctx.options.nesting;

@@ -11,7 +11,6 @@
 /// experiment (bench_ablation_copkmeans).
 
 #include "cluster/clustering.h"
-#include "common/kernel_policy.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -26,9 +25,6 @@ struct CopKMeansConfig {
   /// Restarts attempted before reporting infeasibility.
   int max_restarts = 10;
   double tol = 1e-6;
-  /// Distance-kernel implementation for the assignment loops
-  /// (common/kernel_policy.h); kDefault = the process default.
-  DistanceKernelPolicy kernel = DistanceKernelPolicy::kDefault;
 };
 
 /// Output of a successful COP-KMeans run.

@@ -46,9 +46,8 @@ KMeansResult LloydFromInit(const Matrix& points, const KMeansConfig& config,
       double best = std::numeric_limits<double>::infinity();
       int best_c = 0;
       for (size_t c = 0; c < k; ++c) {
-        const double d = SquaredEuclideanDistance(points.Row(i),
-                                                  centroids.Row(c),
-                                                  config.kernel);
+        const double d =
+            SquaredEuclideanDistance(points.Row(i), centroids.Row(c));
         if (d < best) {
           best = d;
           best_c = static_cast<int>(c);
@@ -102,8 +101,7 @@ KMeansResult LloydFromInit(const Matrix& points, const KMeansConfig& config,
 
 }  // namespace
 
-Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng,
-                          DistanceKernelPolicy kernel) {
+Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng) {
   const size_t n = points.rows();
   CVCP_CHECK_GE(k, 1);
   CVCP_CHECK_LE(static_cast<size_t>(k), n);
@@ -116,7 +114,7 @@ Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng,
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const double d2 = SquaredEuclideanDistance(
-          points.Row(i), centroids.Row(static_cast<size_t>(c - 1)), kernel);
+          points.Row(i), centroids.Row(static_cast<size_t>(c - 1)));
       min_d2[i] = std::min(min_d2[i], d2);
       total += min_d2[i];
     }
@@ -148,7 +146,7 @@ Result<KMeansResult> RunKMeans(const Matrix& points,
   for (int attempt = 0; attempt < config.n_init; ++attempt) {
     Matrix init =
         config.kmeanspp
-            ? KMeansPlusPlusInit(points, config.k, rng, config.kernel)
+            ? KMeansPlusPlusInit(points, config.k, rng)
             : [&] {
                 Matrix m(static_cast<size_t>(config.k), points.cols());
                 std::vector<size_t> idx = rng->SampleWithoutReplacement(

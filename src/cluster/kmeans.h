@@ -7,7 +7,6 @@
 /// COP-KMeans build on.
 
 #include "cluster/clustering.h"
-#include "common/kernel_policy.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -24,9 +23,6 @@ struct KMeansConfig {
   int n_init = 5;
   /// k-means++ seeding (true) or uniform random points (false).
   bool kmeanspp = true;
-  /// Distance-kernel implementation for the assignment/seeding loops
-  /// (common/kernel_policy.h); kDefault = the process default.
-  DistanceKernelPolicy kernel = DistanceKernelPolicy::kDefault;
 };
 
 /// Output of a k-means run.
@@ -39,9 +35,7 @@ struct KMeansResult {
 };
 
 /// Seeds `k` centroids with the k-means++ D^2 weighting.
-Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng,
-                          DistanceKernelPolicy kernel =
-                              DistanceKernelPolicy::kDefault);
+Matrix KMeansPlusPlusInit(const Matrix& points, int k, Rng* rng);
 
 /// Runs k-means. Errors with kInvalidArgument if k < 1, k > n, or the
 /// config is malformed.

@@ -88,8 +88,7 @@ class MpckState {
 
   double WeightedDist(std::span<const double> a, std::span<const double> b,
                       size_t cluster) const {
-    return WeightedSquaredEuclidean(a, b, weights_.Row(cluster),
-                                    config_.kernel);
+    return WeightedSquaredEuclidean(a, b, weights_.Row(cluster));
   }
 
   /// Cannot-link penalty scale for a cluster: metric-weighted squared
@@ -314,7 +313,6 @@ class MpckState {
 /// Neighborhood-based initialization: centroids of the lambda largest
 /// must-link neighborhoods, topped up by D^2-weighted sampling.
 Result<Matrix> NeighborhoodInit(const Matrix& points,
-                                DistanceKernelPolicy kernel,
                                 const ConstraintSet& constraints, int k,
                                 Rng* rng) {
   CVCP_ASSIGN_OR_RETURN(ConstraintComponents comps,
@@ -344,9 +342,9 @@ Result<Matrix> NeighborhoodInit(const Matrix& points,
     }
     for (size_t i = 0; i < n; ++i) {
       for (size_t h = 0; h < filled; ++h) {
-        min_d2[i] = std::min(
-            min_d2[i], SquaredEuclideanDistance(points.Row(i),
-                                                centroids.Row(h), kernel));
+        const double d2 =
+            SquaredEuclideanDistance(points.Row(i), centroids.Row(h));
+        min_d2[i] = std::min(min_d2[i], d2);
       }
     }
     while (filled < uk) {
@@ -368,10 +366,9 @@ Result<Matrix> NeighborhoodInit(const Matrix& points,
       }
       centroids.SetRow(filled, points.Row(chosen));
       for (size_t i = 0; i < n; ++i) {
-        min_d2[i] =
-            std::min(min_d2[i],
-                     SquaredEuclideanDistance(points.Row(i),
-                                              points.Row(chosen), kernel));
+        const double d2 =
+            SquaredEuclideanDistance(points.Row(i), points.Row(chosen));
+        min_d2[i] = std::min(min_d2[i], d2);
       }
       ++filled;
     }
@@ -406,12 +403,10 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
   MpckState state(points, constraints, config);
   if (config.neighborhood_init) {
     CVCP_ASSIGN_OR_RETURN(Matrix init,
-                          NeighborhoodInit(points, config.kernel, constraints,
-                                           config.k, rng));
+                          NeighborhoodInit(points, constraints, config.k, rng));
     state.SetCentroids(std::move(init));
   } else {
-    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng,
-                                          config.kernel));
+    state.SetCentroids(KMeansPlusPlusInit(points, config.k, rng));
   }
 
   double prev_obj = std::numeric_limits<double>::infinity();

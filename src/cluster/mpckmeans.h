@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cluster/clustering.h"
-#include "common/kernel_policy.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -51,9 +50,6 @@ struct MpckMeansConfig {
   /// Seed centroids from must-link neighborhoods (paper's initialization);
   /// false falls back to k-means++.
   bool neighborhood_init = true;
-  /// Distance-kernel implementation for the assignment/metric loops
-  /// (common/kernel_policy.h); kDefault = the process default.
-  DistanceKernelPolicy kernel = DistanceKernelPolicy::kDefault;
 };
 
 /// Output of an MPCKMeans run.

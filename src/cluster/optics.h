@@ -26,12 +26,6 @@ struct OpticsConfig {
   /// Generating radius; infinity processes everything in one component.
   double eps = std::numeric_limits<double>::infinity();
   Metric metric = Metric::kEuclidean;
-  /// Distance-kernel implementation for the point-matrix overload (the
-  /// DistanceMatrix overload inherits the matrix's kernel). Callers
-  /// running against a cached matrix must pass the same policy the
-  /// matrix was built with to keep cached and uncached paths
-  /// byte-identical.
-  DistanceKernelPolicy kernel = DistanceKernelPolicy::kDefault;
 };
 
 /// The cluster ordering.

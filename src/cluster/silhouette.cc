@@ -86,11 +86,10 @@ double SilhouetteImpl(size_t n, const Clustering& clustering, DistFn&& dist) {
 }  // namespace
 
 double SilhouetteCoefficient(const Matrix& points,
-                             const Clustering& clustering, Metric metric,
-                             DistanceKernelPolicy kernel) {
+                             const Clustering& clustering, Metric metric) {
   CVCP_CHECK_EQ(points.rows(), clustering.size());
   return SilhouetteImpl(points.rows(), clustering, [&](size_t i, size_t j) {
-    return Distance(points.Row(i), points.Row(j), metric, kernel);
+    return Distance(points.Row(i), points.Row(j), metric);
   });
 }
 
@@ -102,8 +101,7 @@ double SilhouetteCoefficient(const DistanceMatrix& distances,
 }
 
 double SimplifiedSilhouette(const Matrix& points,
-                            const Clustering& clustering,
-                            DistanceKernelPolicy kernel) {
+                            const Clustering& clustering) {
   CVCP_CHECK_EQ(points.rows(), clustering.size());
   const std::vector<std::vector<size_t>> groups = clustering.Groups();
   if (groups.size() < 2) return kNaN;
@@ -127,8 +125,7 @@ double SimplifiedSilhouette(const Matrix& points,
     double a = 0.0;
     double b = std::numeric_limits<double>::infinity();
     for (size_t g = 0; g < groups.size(); ++g) {
-      const double d = EuclideanDistance(points.Row(i), centroids.Row(g),
-                                         kernel);
+      const double d = EuclideanDistance(points.Row(i), centroids.Row(g));
       if (static_cast<int>(g) == gi) {
         a = d;
       } else {

@@ -19,9 +19,7 @@ namespace cvcp {
 ///  * returns NaN when fewer than 2 clusters have members (silhouette
 ///    undefined), which makes a k=1 candidate never win model selection.
 double SilhouetteCoefficient(const Matrix& points, const Clustering& clustering,
-                             Metric metric = Metric::kEuclidean,
-                             DistanceKernelPolicy kernel =
-                                 DistanceKernelPolicy::kDefault);
+                             Metric metric = Metric::kEuclidean);
 
 /// Same, against a precomputed distance matrix.
 double SilhouetteCoefficient(const DistanceMatrix& distances,
@@ -29,9 +27,7 @@ double SilhouetteCoefficient(const DistanceMatrix& distances,
 
 /// Simplified silhouette: distances to cluster centroids instead of mean
 /// pairwise distances. O(n k d).
-double SimplifiedSilhouette(const Matrix& points, const Clustering& clustering,
-                            DistanceKernelPolicy kernel =
-                                DistanceKernelPolicy::kDefault);
+double SimplifiedSilhouette(const Matrix& points, const Clustering& clustering);
 
 }  // namespace cvcp
 

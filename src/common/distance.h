@@ -5,11 +5,9 @@
 /// Distance metrics and a condensed pairwise distance matrix. Weighted
 /// squared Euclidean (diagonal Mahalanobis) is the form MPCKMeans learns.
 ///
-/// Every entry point takes an optional `DistanceKernelPolicy`
-/// (common/kernel_policy.h) selecting the inner-loop implementation;
-/// `kDefault` resolves to the process default (fixed-lane SIMD unless
-/// `CVCP_DISTANCE_KERNEL` says otherwise). Within one policy, results
-/// are bitwise-identical for any thread count, tiling, and hardware.
+/// Every entry point runs the fixed-lane kernels (common/distance_kernels.h),
+/// so results are bitwise-identical for any thread count, tiling, and
+/// hardware.
 
 #include <cstddef>
 #include <limits>
@@ -17,7 +15,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/kernel_policy.h"
 #include "common/matrix.h"
 #include "common/parallel.h"
 
@@ -33,40 +30,36 @@ enum class Metric {
 
 /// Distance between two equal-length vectors under `metric`.
 double Distance(std::span<const double> a, std::span<const double> b,
-                Metric metric,
-                DistanceKernelPolicy policy = DistanceKernelPolicy::kDefault);
+                Metric metric);
 
-double EuclideanDistance(std::span<const double> a, std::span<const double> b,
-                         DistanceKernelPolicy policy =
-                             DistanceKernelPolicy::kDefault);
+double EuclideanDistance(std::span<const double> a, std::span<const double> b);
 double SquaredEuclideanDistance(std::span<const double> a,
-                                std::span<const double> b,
-                                DistanceKernelPolicy policy =
-                                    DistanceKernelPolicy::kDefault);
-double ManhattanDistance(std::span<const double> a, std::span<const double> b,
-                         DistanceKernelPolicy policy =
-                             DistanceKernelPolicy::kDefault);
-double CosineDistance(std::span<const double> a, std::span<const double> b,
-                      DistanceKernelPolicy policy =
-                          DistanceKernelPolicy::kDefault);
+                                std::span<const double> b);
+double ManhattanDistance(std::span<const double> a, std::span<const double> b);
+double CosineDistance(std::span<const double> a, std::span<const double> b);
 
 /// Diagonal-Mahalanobis squared distance: sum_m w[m] * (a[m]-b[m])^2.
 /// Weights must be non-negative.
 double WeightedSquaredEuclidean(std::span<const double> a,
                                 std::span<const double> b,
-                                std::span<const double> weights,
-                                DistanceKernelPolicy policy =
-                                    DistanceKernelPolicy::kDefault);
+                                std::span<const double> weights);
 
-/// DEPRECATED shim over SetDefaultDistanceKernelPolicy: `true` sets the
-/// process-default policy to `kUnrolled`, `false` restores the modern
-/// default (`kFixedLane`). Kept so old callers keep compiling; new code
-/// should thread a DistanceKernelPolicy through ExecutionContext (or set
-/// the default explicitly). Pinned by tests/distance_kernels_test.cc.
-void SetUnrolledDistanceKernels(bool enabled);
+/// How a `DistanceMatrix` stores its condensed values. Distances are
+/// always *computed* in double precision; `kF32` narrows each value to
+/// float on store (half the memory and disk bytes, ~1e-7 relative
+/// rounding on read-back). Artifacts of the two modes are keyed apart
+/// and never satisfy each other.
+enum class DistanceStorage {
+  kF64 = 0,
+  kF32 = 1,
+};
 
-/// DEPRECATED shim: whether the process-default policy is `kUnrolled`.
-bool UnrolledDistanceKernelsEnabled();
+/// Stable display name: "f64" / "f32".
+const char* DistanceStorageName(DistanceStorage storage);
+
+/// Parses "f64" / "f32" (also "double" / "float"). Returns false and
+/// leaves `*out` untouched on an unrecognized name.
+bool ParseDistanceStorage(const char* name, DistanceStorage* out);
 
 /// Deterministic double→float narrowing for the f32 storage mode.
 /// `static_cast<float>` of a finite double beyond float range is
@@ -102,18 +95,13 @@ class DistanceMatrix {
   /// tiled (cache-blocked) sweep: row-panel × column-panel tiles sized
   /// to L2, the column panel repacked into a contiguous scratch buffer,
   /// one parallel task per tile. Each pair's value is a pure function of
-  /// its two rows under `exec.distance_kernel`, and every entry lands in
-  /// its own condensed slot, so the result is bit-identical for any
-  /// thread count and any tile shape (pinned against ComputeUntiled).
+  /// its two rows, and every entry lands in its own condensed slot, so
+  /// the result is bit-identical for any thread count and any tile shape
+  /// (pinned slot by slot against the per-pair `Distance`).
   static DistanceMatrix Compute(const Matrix& points, Metric metric,
                                 const ExecutionContext& exec = {},
                                 DistanceStorage storage =
                                     DistanceStorage::kF64);
-
-  /// The pre-tiling row sweep (one task per row), kept as the oracle the
-  /// tiled build is pinned against and as the bench baseline. f64 only.
-  static DistanceMatrix ComputeUntiled(const Matrix& points, Metric metric,
-                                       const ExecutionContext& exec = {});
 
   /// Rehydrates a matrix from condensed f64 storage (the artifact
   /// store's deserialization path). `data` must hold exactly n*(n-1)/2

@@ -2,16 +2,16 @@
 #define CVCP_COMMON_DISTANCE_KERNELS_H_
 
 /// \file
-/// The low-level distance kernels behind common/distance.h: one table of
-/// raw-pointer inner loops per `DistanceKernelPolicy`, plus the runtime
-/// dispatch that picks a SIMD implementation of the fixed-lane kernels.
+/// The low-level distance kernels behind common/distance.h: tables of
+/// raw-pointer fixed-lane inner loops, plus the runtime dispatch that
+/// picks the widest SIMD implementation the CPU supports.
 ///
 /// ## The fixed-lane contract
 ///
 /// Every fixed-lane implementation — the portable scalar reference, the
 /// AVX2 one, the NEON one — commits to the identical floating-point
-/// evaluation order, so their results are bitwise equal and the policy
-/// is deterministic across hardware:
+/// evaluation order, so their results are bitwise equal and every run is
+/// deterministic across hardware:
 ///
 ///   * 8 virtual accumulator lanes; lane k sums the per-element terms at
 ///     indices ≡ k (mod 8), in increasing index order;
@@ -28,12 +28,10 @@
 ///     term) — the kernel translation units are compiled with
 ///     `-ffp-contract=off` so the compiler cannot introduce it either.
 ///
-/// Within one policy the kernels are pure functions of their inputs:
-/// thread count, tiling, caching, and hardware never change a bit.
+/// The kernels are pure functions of their inputs: thread count, tiling,
+/// caching, and hardware never change a bit.
 
 #include <cstddef>
-
-#include "common/kernel_policy.h"
 
 namespace cvcp {
 
@@ -52,24 +50,18 @@ struct DistanceKernels {
   /// single-pair op sequence — the batch exists so the matrix build can
   /// run four independent accumulator chains at once (the single-pair
   /// kernel is latency-bound on its lane adds) and reuse the `a` loads.
-  /// Null for policies without a batched form; callers fall back to four
-  /// single-pair calls, which produce the same bits.
   void (*squared_euclidean_x4)(const double* a, const double* b, size_t stride,
                                size_t n, double out[4]);
 };
 
-/// The kernel table for a policy. `policy` may be `kDefault` (resolved
-/// through the process default). `kFixedLane` returns the dispatched
-/// native table (AVX2/NEON when the CPU supports it, the portable
-/// reference otherwise) — bitwise-identical either way.
-const DistanceKernels& GetDistanceKernels(DistanceKernelPolicy policy);
+/// The dispatched fixed-lane table every distance computation uses:
+/// AVX2/NEON when the CPU supports it, the portable reference otherwise
+/// — bitwise-identical either way.
+const DistanceKernels& GetDistanceKernels();
 
 /// The portable scalar fixed-lane reference — the pinning oracle the
 /// equivalence tests compare every SIMD implementation against.
 const DistanceKernels& FixedLaneKernelsPortable();
-
-/// The dispatched fixed-lane table (what `kFixedLane` uses).
-const DistanceKernels& FixedLaneKernelsNative();
 
 /// Which fixed-lane implementation dispatch selected on this machine:
 /// "avx2", "neon", or "portable".

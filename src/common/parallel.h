@@ -25,7 +25,6 @@
 #include <functional>
 
 #include "common/cancel.h"
-#include "common/kernel_policy.h"
 
 namespace cvcp {
 
@@ -35,15 +34,6 @@ struct ExecutionContext {
   /// Worker threads to use. 0 ⇒ all hardware threads (the default);
   /// 1 ⇒ the exact serial code path, never touching the pool.
   int threads = 0;
-
-  /// Which distance-kernel implementation computations under this
-  /// context use (common/kernel_policy.h). `kDefault` resolves to the
-  /// env-initialized process default. Like `threads`, this never changes
-  /// *what* is computed within a policy — only fixed-lane vs legacy vs
-  /// unrolled rounding; every caller of one run must agree on it for the
-  /// byte-identity contract to hold (the harness threads one value
-  /// through every layer).
-  DistanceKernelPolicy distance_kernel = DistanceKernelPolicy::kDefault;
 
   /// Cooperative cancellation for the work under this context. The
   /// default token never fires, so existing callers pay one null check.

@@ -26,11 +26,10 @@ void FoscOpticsDendClusterer::PrewarmCache(const Dataset& data,
 }
 
 Result<FoscOpticsModel> FoscOpticsDendClusterer::BuildModel(
-    const Dataset& data, int param, DistanceKernelPolicy kernel) const {
+    const Dataset& data, int param) const {
   OpticsConfig optics_config;
   optics_config.min_pts = param;
   optics_config.metric = metric_;
-  optics_config.kernel = kernel;
   CVCP_ASSIGN_OR_RETURN(OpticsResult optics,
                         RunOptics(data.points(), optics_config));
   FoscOpticsModel model;
@@ -59,18 +58,16 @@ Result<Clustering> FoscOpticsDendClusterer::DoCluster(
         context.cache->FoscModel(metric_, param, context.exec));
     return ExtractWithSupervision(*model, supervision);
   }
-  CVCP_ASSIGN_OR_RETURN(
-      FoscOpticsModel model,
-      BuildModel(data, param, context.exec.distance_kernel));
+  CVCP_ASSIGN_OR_RETURN(FoscOpticsModel model, BuildModel(data, param));
   return ExtractWithSupervision(model, supervision);
 }
 
 Result<Clustering> MpckMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
     const ClusterContext& context) const {
+  (void)context;  // nothing here is cached per dataset
   MpckMeansConfig config = base_;
   config.k = param;
-  config.kernel = context.exec.distance_kernel;
   CVCP_ASSIGN_OR_RETURN(
       MpckMeansResult result,
       RunMpckMeans(data.points(), supervision.constraints(), config, rng));
@@ -80,9 +77,9 @@ Result<Clustering> MpckMeansClusterer::DoCluster(
 Result<Clustering> CopKMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
     const ClusterContext& context) const {
+  (void)context;  // nothing here is cached per dataset
   CopKMeansConfig config = base_;
   config.k = param;
-  config.kernel = context.exec.distance_kernel;
   Result<CopKMeansResult> result =
       RunCopKMeans(data.points(), supervision.constraints(), config, rng);
   if (result.ok()) return std::move(result).value().clustering;
@@ -93,7 +90,6 @@ Result<Clustering> CopKMeansClusterer::DoCluster(
   // than aborting the whole model-selection sweep.
   KMeansConfig km;
   km.k = param;
-  km.kernel = config.kernel;
   CVCP_ASSIGN_OR_RETURN(KMeansResult fallback,
                         RunKMeans(data.points(), km, rng));
   return fallback.clustering;
@@ -103,9 +99,9 @@ Result<Clustering> KMeansClusterer::DoCluster(
     const Dataset& data, const Supervision& supervision, int param, Rng* rng,
     const ClusterContext& context) const {
   (void)supervision;
+  (void)context;  // nothing here is cached per dataset
   KMeansConfig config = base_;
   config.k = param;
-  config.kernel = context.exec.distance_kernel;
   CVCP_ASSIGN_OR_RETURN(KMeansResult result,
                         RunKMeans(data.points(), config, rng));
   return result.clustering;

@@ -112,12 +112,8 @@ class FoscOpticsDendClusterer : public SemiSupervisedClusterer {
   /// The supervision-independent stage: OPTICS at MinPts = `param` plus
   /// the OPTICSDend dendrogram. Uncached entry point; `DoCluster` goes
   /// through `DatasetCache::FoscModel` (which builds the identical model
-  /// from the cached distance matrix) when a cache is available. `kernel`
-  /// selects the distance kernels (must match the cached path's policy
-  /// for byte-identical results).
-  Result<FoscOpticsModel> BuildModel(const Dataset& data, int param,
-                                     DistanceKernelPolicy kernel =
-                                         DistanceKernelPolicy::kDefault) const;
+  /// from the cached distance matrix) when a cache is available.
+  Result<FoscOpticsModel> BuildModel(const Dataset& data, int param) const;
 
   /// The supervision-dependent stage: FOSC extraction of a flat clustering
   /// from the model's dendrogram under the constraint objective.

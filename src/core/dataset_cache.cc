@@ -193,10 +193,8 @@ void DatasetCache::Prewarm(Metric metric, std::span<const int> min_pts_grid,
   Distances(metric, exec);
   // Grid models are independent; build them on the pool. Each lane runs
   // serially inside (the distance matrix already exists), so nested
-  // parallelism cannot oversubscribe. Only the thread budget drops to 1 —
-  // the rest of the context (notably the distance-kernel policy) must
-  // survive, or a prewarmed-on-miss model could be built under a
-  // different policy than the lazy path would use.
+  // parallelism cannot oversubscribe. Only the thread budget drops to 1;
+  // the rest of the context passes through unchanged.
   ExecutionContext serial = exec;
   serial.threads = 1;
   ParallelFor(exec, min_pts_grid.size(), [&](size_t i) {

@@ -36,9 +36,7 @@ Result<SilhouetteSelection> SelectBySilhouette(
             ? SilhouetteCoefficient(
                   *context.cache->Distances(Metric::kEuclidean, context.exec),
                   clustering)
-            : SilhouetteCoefficient(data.points(), clustering,
-                                    Metric::kEuclidean,
-                                    context.exec.distance_kernel);
+            : SilhouetteCoefficient(data.points(), clustering);
     sel.silhouettes.push_back(sil);
     if (!std::isnan(sil) && (!have_best || sil > sel.best_silhouette)) {
       sel.best_silhouette = sil;

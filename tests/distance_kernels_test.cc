@@ -6,15 +6,13 @@
 //    width (0..2*width+3 pins the tail handling);
 //  * the strided x4 batch must be bitwise equal to four single-pair
 //    calls, packed or padded stride;
-//  * fixed-lane vs the legacy left-to-right kernels: equal within
-//    rounding (they reassociate), never relied on for bit equality;
-//  * policy parsing/naming, the env-independent process default
-//    machinery, and the deprecated SetUnrolledDistanceKernels shim
-//    (true -> kUnrolled, false -> kFixedLane — pinned so old callers
-//    keep their exact behavior);
-//  * the tiled DistanceMatrix::Compute against the untiled oracle:
-//    bitwise per policy, for ragged multi-tile sizes and any thread
-//    count, and the f32 storage mode holds exactly float(f64 value).
+//  * fixed-lane vs a left-to-right long double sum: equal within
+//    rounding (the lanes reassociate), never relied on for bit equality;
+//  * storage-mode parsing/naming;
+//  * the tiled DistanceMatrix::Compute against the per-pair `Distance`:
+//    bitwise in every condensed slot, for every metric, ragged
+//    multi-tile sizes and any thread count, and the f32 storage mode
+//    holds exactly float(f64 value).
 
 #include "common/distance_kernels.h"
 
@@ -45,21 +43,8 @@ std::vector<double> Irregular(size_t n, double seed) {
   return v;
 }
 
-// Restores the process-default kernel policy on scope exit — whatever it
-// was, including an env-selected scalar-legacy (the CI sweep runs this
-// whole binary under CVCP_DISTANCE_KERNEL=scalar-legacy, and a guard
-// that "restored" a hardcoded default would clobber that mid-binary).
-class PolicyGuard {
- public:
-  PolicyGuard() : previous_(DefaultDistanceKernelPolicy()) {}
-  ~PolicyGuard() { SetDefaultDistanceKernelPolicy(previous_); }
-
- private:
-  DistanceKernelPolicy previous_;
-};
-
 TEST(DistanceKernelsFixedLane, NativeBitwiseEqualsPortableAllLengths) {
-  const DistanceKernels& native = FixedLaneKernelsNative();
+  const DistanceKernels& native = GetDistanceKernels();
   const DistanceKernels& portable = FixedLaneKernelsPortable();
   for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
     const std::vector<double> a = Irregular(n, 0.3);
@@ -85,7 +70,7 @@ TEST(DistanceKernelsFixedLane, NativeBitwiseEqualsPortableAllLengths) {
 
 TEST(DistanceKernelsFixedLane, BatchX4BitwiseEqualsFourSingleCalls) {
   for (const DistanceKernels* table :
-       {&FixedLaneKernelsNative(), &FixedLaneKernelsPortable()}) {
+       {&GetDistanceKernels(), &FixedLaneKernelsPortable()}) {
     ASSERT_NE(table->squared_euclidean_x4, nullptr);
     for (size_t n = 0; n <= 2 * kFixedLaneWidth + 3; ++n) {
       // Packed (stride == n) and padded (stride > n) column layouts.
@@ -104,102 +89,66 @@ TEST(DistanceKernelsFixedLane, BatchX4BitwiseEqualsFourSingleCalls) {
   }
 }
 
-TEST(DistanceKernelsFixedLane, MatchesLegacyWithinRounding) {
-  const DistanceKernels& fixed = GetDistanceKernels(
-      DistanceKernelPolicy::kFixedLane);
-  const DistanceKernels& legacy = GetDistanceKernels(
-      DistanceKernelPolicy::kScalarLegacy);
-  const size_t n = 19;
-  const std::vector<double> a = Irregular(n, 0.3);
-  const std::vector<double> b = Irregular(n, 1.7);
-  const std::vector<double> w = Irregular(n, 5.5);
-  std::vector<double> w_pos = w;
-  for (double& x : w_pos) x = std::fabs(x);
-  const double sq = legacy.squared_euclidean(a.data(), b.data(), n);
-  EXPECT_NEAR(fixed.squared_euclidean(a.data(), b.data(), n), sq,
-              1e-12 * std::fabs(sq));
-  const double man = legacy.manhattan(a.data(), b.data(), n);
-  EXPECT_NEAR(fixed.manhattan(a.data(), b.data(), n), man,
-              1e-12 * std::fabs(man));
-  const double cos = legacy.cosine(a.data(), b.data(), n);
-  EXPECT_NEAR(fixed.cosine(a.data(), b.data(), n), cos, 1e-12);
-  const double wsq =
-      legacy.weighted_squared_euclidean(a.data(), b.data(), w_pos.data(), n);
-  EXPECT_NEAR(
-      fixed.weighted_squared_euclidean(a.data(), b.data(), w_pos.data(), n),
-      wsq, 1e-12 * std::fabs(wsq));
+TEST(DistanceKernelsFixedLane, MatchesLongDoubleSumWithinRounding) {
+  const DistanceKernels& fixed = GetDistanceKernels();
+  for (size_t n : {size_t{1}, size_t{7}, size_t{19}, size_t{64}}) {
+    const std::vector<double> a = Irregular(n, 0.3);
+    const std::vector<double> b = Irregular(n, 1.7);
+    std::vector<double> w = Irregular(n, 5.5);
+    for (double& x : w) x = std::fabs(x);
+    // Left-to-right in extended precision: the reference the fixed 8-lane
+    // order must agree with up to double rounding.
+    long double sq = 0, man = 0, wsq = 0, dot = 0, na = 0, nb = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const long double d = static_cast<long double>(a[i]) - b[i];
+      sq += d * d;
+      man += std::fabs(d);
+      wsq += w[i] * d * d;
+      dot += static_cast<long double>(a[i]) * b[i];
+      na += static_cast<long double>(a[i]) * a[i];
+      nb += static_cast<long double>(b[i]) * b[i];
+    }
+    const double cos =
+        static_cast<double>(1 - dot / (std::sqrt(na) * std::sqrt(nb)));
+    EXPECT_NEAR(fixed.squared_euclidean(a.data(), b.data(), n),
+                static_cast<double>(sq), 1e-12 * static_cast<double>(sq))
+        << "n=" << n;
+    EXPECT_NEAR(fixed.manhattan(a.data(), b.data(), n),
+                static_cast<double>(man), 1e-12 * static_cast<double>(man))
+        << "n=" << n;
+    EXPECT_NEAR(fixed.cosine(a.data(), b.data(), n), cos, 1e-12) << "n=" << n;
+    EXPECT_NEAR(
+        fixed.weighted_squared_euclidean(a.data(), b.data(), w.data(), n),
+        static_cast<double>(wsq), 1e-12 * static_cast<double>(wsq))
+        << "n=" << n;
+  }
 }
 
 TEST(DistanceKernelsDispatch, ArchIsKnownAndFixedLaneUsesNativeTable) {
   const std::string arch = DistanceKernelArch();
   EXPECT_TRUE(arch == "avx2" || arch == "neon" || arch == "portable") << arch;
-  EXPECT_EQ(&GetDistanceKernels(DistanceKernelPolicy::kFixedLane),
-            &FixedLaneKernelsNative());
-  // Legacy and unrolled tables have no batched form; the matrix build
-  // falls back to single-pair calls for them.
-  EXPECT_EQ(GetDistanceKernels(DistanceKernelPolicy::kScalarLegacy)
-                .squared_euclidean_x4,
-            nullptr);
-  EXPECT_EQ(
-      GetDistanceKernels(DistanceKernelPolicy::kUnrolled).squared_euclidean_x4,
-      nullptr);
+  // Dispatch falls back to the portable reference only when no SIMD
+  // implementation applies.
+  EXPECT_EQ(&GetDistanceKernels() == &FixedLaneKernelsPortable(),
+            arch == "portable");
+  EXPECT_NE(GetDistanceKernels().squared_euclidean_x4, nullptr);
 }
 
 TEST(DistanceKernelsPolicy, ParseNamesRoundTrip) {
-  DistanceKernelPolicy p = DistanceKernelPolicy::kDefault;
-  EXPECT_TRUE(ParseDistanceKernelPolicy("fixed-lane", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kFixedLane);
-  EXPECT_TRUE(ParseDistanceKernelPolicy("scalar-legacy", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_TRUE(ParseDistanceKernelPolicy("unrolled", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kUnrolled);
-  EXPECT_FALSE(ParseDistanceKernelPolicy("turbo", &p));
-  EXPECT_EQ(p, DistanceKernelPolicy::kUnrolled);  // unchanged on failure
-
   DistanceStorage s = DistanceStorage::kF64;
   EXPECT_TRUE(ParseDistanceStorage("f32", &s));
   EXPECT_EQ(s, DistanceStorage::kF32);
   EXPECT_TRUE(ParseDistanceStorage("f64", &s));
   EXPECT_EQ(s, DistanceStorage::kF64);
   EXPECT_FALSE(ParseDistanceStorage("f16", &s));
+  EXPECT_EQ(s, DistanceStorage::kF64);  // unchanged on failure
 
-  EXPECT_STREQ(DistanceKernelPolicyName(DistanceKernelPolicy::kFixedLane),
-               "fixed-lane");
-  EXPECT_STREQ(DistanceKernelPolicyName(DistanceKernelPolicy::kScalarLegacy),
-               "scalar-legacy");
   EXPECT_STREQ(DistanceStorageName(DistanceStorage::kF32), "f32");
   EXPECT_STREQ(DistanceStorageName(DistanceStorage::kF64), "f64");
 }
 
-TEST(DistanceKernelsPolicy, DefaultSlotResolvesAndIgnoresKDefault) {
-  PolicyGuard guard;
-  SetDefaultDistanceKernelPolicy(DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(),
-            DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_EQ(ResolveDistanceKernelPolicy(DistanceKernelPolicy::kDefault),
-            DistanceKernelPolicy::kScalarLegacy);
-  EXPECT_EQ(ResolveDistanceKernelPolicy(DistanceKernelPolicy::kFixedLane),
-            DistanceKernelPolicy::kFixedLane);
-  // Setting kDefault is a no-op: there is nothing to resolve it to.
-  SetDefaultDistanceKernelPolicy(DistanceKernelPolicy::kDefault);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(),
-            DistanceKernelPolicy::kScalarLegacy);
-}
-
-TEST(DistanceKernelsShim, SetUnrolledPinnedToPolicyValues) {
-  PolicyGuard guard;
-  SetUnrolledDistanceKernels(true);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(), DistanceKernelPolicy::kUnrolled);
-  EXPECT_TRUE(UnrolledDistanceKernelsEnabled());
-  // The shim's "off" state is the modern default, not the legacy scalar:
-  // callers that toggled the old global get the SIMD default back.
-  SetUnrolledDistanceKernels(false);
-  EXPECT_EQ(DefaultDistanceKernelPolicy(), DistanceKernelPolicy::kFixedLane);
-  EXPECT_FALSE(UnrolledDistanceKernelsEnabled());
-}
-
 // ---------------------------------------------------------------------------
-// Tiled matrix build vs the untiled oracle
+// Tiled matrix build vs the per-pair oracle
 // ---------------------------------------------------------------------------
 
 // Ragged multi-tile geometry: d=96 gives ~170-row panels, so n=401 spans
@@ -215,24 +164,29 @@ Matrix TilingFixture() {
   return m;
 }
 
-TEST(DistanceMatrixTiled, BitwiseEqualsUntiledPerPolicyAndThreads) {
+TEST(DistanceMatrixTiled, BitwiseEqualsPerPairDistanceAllMetricsAndThreads) {
   const Matrix points = TilingFixture();
-  for (DistanceKernelPolicy policy : {DistanceKernelPolicy::kFixedLane,
-                                      DistanceKernelPolicy::kScalarLegacy}) {
-    ExecutionContext serial = ExecutionContext::Serial();
-    serial.distance_kernel = policy;
-    const DistanceMatrix oracle =
-        DistanceMatrix::ComputeUntiled(points, Metric::kEuclidean, serial);
+  const size_t n = points.rows();
+  for (Metric metric : {Metric::kEuclidean, Metric::kSquaredEuclidean,
+                        Metric::kManhattan, Metric::kCosine}) {
+    // Condensed order: (0,1), (0,2), ..., (1,2), ...
+    std::vector<double> oracle;
+    oracle.reserve(n * (n - 1) / 2);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = i + 1; j < n; ++j) {
+        oracle.push_back(Distance(points.Row(i), points.Row(j), metric));
+      }
+    }
     for (int threads : {1, 2, 8}) {
-      ExecutionContext exec = serial;
+      ExecutionContext exec;
       exec.threads = threads;
       const DistanceMatrix tiled =
-          DistanceMatrix::Compute(points, Metric::kEuclidean, exec);
-      ASSERT_EQ(tiled.n(), oracle.n());
-      ASSERT_EQ(tiled.condensed().size(), oracle.condensed().size());
-      for (size_t i = 0; i < oracle.condensed().size(); ++i) {
-        ASSERT_EQ(Bits(tiled.condensed()[i]), Bits(oracle.condensed()[i]))
-            << "policy=" << DistanceKernelPolicyName(policy)
+          DistanceMatrix::Compute(points, metric, exec);
+      ASSERT_EQ(tiled.n(), n);
+      ASSERT_EQ(tiled.condensed().size(), oracle.size());
+      for (size_t i = 0; i < oracle.size(); ++i) {
+        ASSERT_EQ(Bits(tiled.condensed()[i]), Bits(oracle[i]))
+            << "metric=" << static_cast<int>(metric)
             << " threads=" << threads << " slot=" << i;
       }
     }
@@ -241,8 +195,7 @@ TEST(DistanceMatrixTiled, BitwiseEqualsUntiledPerPolicyAndThreads) {
 
 TEST(DistanceMatrixTiled, F32StorageIsExactlyNarrowedF64) {
   const Matrix points = TilingFixture();
-  ExecutionContext exec = ExecutionContext::Serial();
-  exec.distance_kernel = DistanceKernelPolicy::kFixedLane;
+  const ExecutionContext exec = ExecutionContext::Serial();
   const DistanceMatrix f64 =
       DistanceMatrix::Compute(points, Metric::kEuclidean, exec);
   const DistanceMatrix f32 = DistanceMatrix::Compute(
