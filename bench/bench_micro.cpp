@@ -3,25 +3,20 @@
 // extraction, distance kernels and the constraint F-measure. These track
 // the cost model behind the paper-scale benches. Before the
 // google-benchmark suites run, main() prints the scaling tables for the
-// parallel execution engine: CVCP serial-vs-parallel (with cost-model
-// cell ordering), the trial-level fan-out on a wide outer loop,
-// nested-width vs split-budget scheduling on the narrow-outer/wide-inner
-// scenario, and the per-dataset compute cache on the FOSC scenario
-// (cache-on vs cache-off with hit counts and per-stage wall time) —
+// parallel execution engine: CVCP serial-vs-parallel (longest-first cell
+// ordering), the trial-level fan-out on a wide outer loop, and the
+// per-dataset compute cache on the FOSC scenario (cache-on vs cache-off
+// with hit counts and per-stage wall time) —
 // plus the distance-matrix build table (tiled build vs a per-pair loop
 // over the portable fixed-lane kernels) and the f32-vs-f64 CVCP
 // selection-agreement ablation, both written to BENCH_distance.json.
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
-// few engine options it supports (--threads N, --timings-file PATH,
-// --cache-table-only, --store DIR, --json PATH, --distance-json PATH)
-// are stripped from argv before benchmark::Initialize. --timings-file makes the CVCP scaling
-// table save its measured cell timings and, when the file already exists,
-// drives the "file timings" cost-model row from it — the measured
-// schedule persisting across process restarts. --store DIR adds
-// store-cold / store-warm rows to the cache table (the warm row must
-// serve every OPTICS model from disk) and persists the cell timings as a
-// store artifact. Every table row is mirrored into a machine-readable
+// few engine options it supports (--threads N, --cache-table-only,
+// --store DIR, --json PATH, --distance-json PATH) are stripped from argv
+// before benchmark::Initialize. --store DIR adds store-cold / store-warm
+// rows to the cache table (the warm row must serve every OPTICS model
+// from disk). Every table row is mirrored into a machine-readable
 // JSON report (--json PATH, default BENCH_micro.json; pass '' to
 // disable).
 
@@ -60,7 +55,6 @@
 #include "core/fmeasure.h"
 #include "data/generators.h"
 #include "harness/experiment.h"
-#include "harness/options.h"
 
 namespace {
 
@@ -258,17 +252,9 @@ BENCHMARK(BM_ConstraintFMeasure)->Arg(25)->Arg(50)->Arg(100);
 // Serial-vs-parallel CVCP wall time on the engine's target workload: a
 // 10-fold × 8-value MPCKMeans grid (80 clustering cells per run). Also
 // cross-checks that every configuration selects the same parameter with
-// the same score — the engine's determinism guarantee. The final rows
-// feed measured cell_timings back into the cost model
-// (CellCostModel::prior_timings): the "prior timings" row uses this
-// process's first parallel run, the "file timings" row (only with
-// --timings-file and an existing file) uses a *previous invocation's*
-// timings, and with --timings-file the measured timings are saved so the
-// next invocation starts measured-longest-first. With --store the same
-// persistence runs through the artifact store instead of a flat file
-// (the "store timings" row), exercising the cell-timings artifact kind.
-void PrintCvcpScalingTable(const std::string& timings_file,
-                           const std::string& store_dir) {
+// the same score — the engine's determinism guarantee. Parallel rows run
+// the cells longest-first by the size estimate.
+void PrintCvcpScalingTable() {
   Dataset data = BenchData(/*per_cluster=*/40, /*k=*/5, /*dims=*/16);
   Rng rng(23);
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
@@ -279,7 +265,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
   CvcpConfig config;
   config.cv.n_folds = 10;
   config.param_grid = {2, 3, 4, 5, 6, 7, 8, 9};
-  config.collect_timings = true;
 
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -292,13 +277,12 @@ void PrintCvcpScalingTable(const std::string& timings_file,
       "(MPCKMeans, %d-fold x %zu-value grid, n=%zu, %d hardware threads) "
       "===\n",
       config.cv.n_folds, config.param_grid.size(), data.size(), hw);
-  std::printf("%-16s %8s %12s %10s %10s %s\n", "cost model", "threads",
+  std::printf("%-16s %8s %12s %10s %10s %s\n", "cell order", "threads",
               "wall_ms", "speedup", "efficiency", "matches serial");
 
   double serial_ms = 0.0;
   int serial_best = 0;
   double serial_score = 0.0;
-  std::vector<CvCellTiming> measured;
   auto run_row = [&](const char* label, int threads) {
     config.cv.exec.threads = threads;
     Rng run_rng(29);
@@ -308,9 +292,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
                           std::chrono::steady_clock::now() - start)
                           .count();
     CVCP_CHECK(report.ok());
-    // The first row's measured timings feed the cost-model rows and the
-    // timings file (the serial baseline on single-core machines).
-    if (measured.empty()) measured = report->cell_timings;
     if (threads == 1) {
       serial_ms = ms;
       serial_best = report->best_param;
@@ -337,50 +318,6 @@ void PrintCvcpScalingTable(const std::string& timings_file,
   };
   for (int threads : thread_counts) {
     run_row(threads == 1 ? "(serial)" : "size estimate", threads);
-  }
-  if (hw >= 2) {
-    // Re-run at full width with the measured timings as the cost model.
-    config.cv.cost.prior_timings = measured;
-    run_row("prior timings", hw);
-    config.cv.cost.prior_timings.clear();
-  }
-  if (!timings_file.empty()) {
-    // Cost model persisted across invocations: drive a row from the
-    // previous process's measured timings, then save this run's.
-    auto loaded = cvcp::bench::LoadCellTimings(timings_file);
-    if (loaded.ok() && hw >= 2) {
-      config.cv.cost.prior_timings = std::move(loaded).value();
-      run_row("file timings", hw);
-      config.cv.cost.prior_timings.clear();
-    }
-    const Status saved = cvcp::bench::SaveCellTimings(timings_file, measured);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    } else {
-      std::printf("saved %zu cell timings to %s\n", measured.size(),
-                  timings_file.c_str());
-    }
-  }
-  if (!store_dir.empty()) {
-    // Same persistence through the artifact store: a previous
-    // invocation's timings (if any) drive a row, then this run's measured
-    // timings are saved under the dataset's content hash.
-    ArtifactStore store(store_dir);
-    const uint64_t key = HashMatrixContent(data.points());
-    auto prior = store.LoadCellTimings(key, "bench_micro_cvcp");
-    if (prior.ok() && hw >= 2) {
-      config.cv.cost.prior_timings = std::move(prior).value();
-      run_row("store timings", hw);
-      config.cv.cost.prior_timings.clear();
-    }
-    const Status saved = store.SaveCellTimings(key, "bench_micro_cvcp",
-                                               measured);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-    } else {
-      std::printf("persisted %zu cell timings to store %s\n",
-                  measured.size(), store_dir.c_str());
-    }
   }
   std::printf("\n");
 }
@@ -544,7 +481,7 @@ void PrintFoscCacheTable(int threads, const std::string& store_dir) {
   std::printf("\n");
 }
 
-// Shared row-runner for the two RunExperiment scaling tables: runs one
+// Row-runner for the RunExperiment scaling table: runs one
 // engine configuration, prints wall time plus the derived
 // speedup-vs-serial and efficiency (speedup / threads) columns, and
 // cross-checks the engine's guarantee that every configuration produces
@@ -559,12 +496,9 @@ void RunExperimentScalingRow(const Dataset& data,
                              const MpckMeansClusterer& clusterer,
                              cvcp::bench::TrialSpec spec, int trials,
                              const char* table, const char* label,
-                             int threads, int trial_threads,
-                             cvcp::NestingPolicy nesting,
+                             int threads,
                              ExperimentScalingBaseline* baseline) {
   spec.exec.threads = threads;
-  spec.trial_threads = trial_threads;
-  spec.nesting = nesting;
   const auto start = std::chrono::steady_clock::now();
   const cvcp::bench::CellAggregate agg =
       cvcp::bench::RunExperiment(data, clusterer, spec, trials, /*seed=*/31);
@@ -598,10 +532,9 @@ void RunExperimentScalingRow(const Dataset& data,
 }
 
 // Serial-vs-parallel wall time for the *trial-level* fan-out in
-// RunExperiment on a wide outer loop (many trials): fully serial, inner
-// (CVCP grid×fold) parallelism only (`trial_threads = 1`, the
-// pre-trial-parallel engine), the all-or-nothing budget split, and the
-// nested-width scheduler.
+// RunExperiment on a wide outer loop (many trials): fully serial, then
+// the whole hardware budget shared by trial lanes and their CVCP cells
+// (PlanBudget).
 void PrintTrialScalingTable() {
   Dataset data = BenchData(/*per_cluster=*/25, /*k=*/4, /*dims=*/8);
   MpckMeansClusterer clusterer;
@@ -625,65 +558,11 @@ void PrintTrialScalingTable() {
 
   ExperimentScalingBaseline baseline;
   RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                          "serial", 1, 1, NestingPolicy::kSplit, &baseline);
+                          "serial", 1, &baseline);
   if (hw >= 2) {
     RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "CVCP-level", hw, 1, NestingPolicy::kSplit,
-                            &baseline);
-    RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "trial-level", hw, 0, NestingPolicy::kSplit,
-                            &baseline);
-    RunExperimentScalingRow(data, clusterer, spec, trials, "trial_scaling",
-                            "nested", hw, 0, NestingPolicy::kNested,
-                            &baseline);
+                            "parallel", hw, &baseline);
   }
-  std::printf("\n");
-}
-
-// The nested scheduler's target scenario: a *narrow* outer loop (few
-// trials) with a wide inner loop (big grid × folds). The all-or-nothing
-// split can only spend the budget at one level — serial trials with
-// parallel cells — so each trial's fold-build/final-clustering sections
-// and cell tails leave the budget idle. The nested-width mode runs trial
-// lanes and their CVCP cells concurrently (lanes × inner width ≈ budget)
-// and help-while-waiting keeps every thread busy until the last cell, so
-// its throughput should be >= the split row's. Uses an explicit 4-thread
-// budget (not hw) so the comparison also exercises queueing on small
-// machines; the determinism column shows results never depend on any of
-// this.
-void PrintNestedVsSplitTable() {
-  Dataset data = BenchData(/*per_cluster=*/30, /*k=*/4, /*dims=*/8);
-  MpckMeansClusterer clusterer;
-
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  const int budget = std::max(4, hw);
-  cvcp::bench::TrialSpec spec;
-  spec.scenario = cvcp::bench::Scenario::kLabels;
-  spec.level = 0.20;
-  spec.n_folds = 5;
-  spec.grid = {2, 3, 4, 5, 6, 7, 8, 9};
-  const int trials = 2;
-
-  std::printf(
-      "=== Nested-width vs split-budget scheduler, few-trials x large-grid "
-      "(MPCKMeans, %d trials, %d-fold x %zu-value grid = %zu cells/trial, "
-      "n=%zu, budget %d, %d hardware threads) ===\n",
-      trials, spec.n_folds, spec.grid.size(),
-      spec.grid.size() * static_cast<size_t>(spec.n_folds), data.size(),
-      budget, hw);
-  std::printf("%-14s %8s %12s %10s %10s %s\n", "mode", "threads", "wall_ms",
-              "speedup", "efficiency", "matches serial");
-
-  ExperimentScalingBaseline baseline;
-  RunExperimentScalingRow(data, clusterer, spec, trials, "nested_vs_split",
-                          "serial", 1, 1, NestingPolicy::kSplit, &baseline);
-  RunExperimentScalingRow(data, clusterer, spec, trials, "nested_vs_split",
-                          "split-budget", budget, 0, NestingPolicy::kSplit,
-                          &baseline);
-  RunExperimentScalingRow(data, clusterer, spec, trials, "nested_vs_split",
-                          "nested-width", budget, 0, NestingPolicy::kNested,
-                          &baseline);
   std::printf("\n");
 }
 
@@ -858,10 +737,9 @@ void PrintStorageAblationTable() {
 // This binary's own flags, stripped from argv before google-benchmark
 // sees the rest.
 struct MicroOptions {
-  int threads = 0;           // 0 = all hardware threads (cache table width)
-  std::string timings_file;  // persist CVCP cell timings across invocations
+  int threads = 0;  // 0 = all hardware threads (cache table width)
   bool cache_table_only = false;  // print the cache table and exit (CI smoke)
-  std::string store_dir;  // artifact store dir: store-cold/warm rows + timings
+  std::string store_dir;  // artifact store dir: store-cold/warm cache rows
   std::string json_path = "BENCH_micro.json";  // "" (via --json '') disables
   // Standalone report for the distance-build + f32-ablation rows
   // (--distance-json PATH; '' disables). Skipped in --cache-table-only
@@ -875,8 +753,6 @@ MicroOptions StripMicroOptions(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < *argc) {
       o.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--timings-file") == 0 && i + 1 < *argc) {
-      o.timings_file = argv[++i];
     } else if (std::strcmp(argv[i], "--cache-table-only") == 0) {
       o.cache_table_only = true;
     } else if (std::strcmp(argv[i], "--store") == 0 && i + 1 < *argc) {
@@ -911,9 +787,8 @@ int main(int argc, char** argv) {
   }
   PrintDistanceKernelTable();
   PrintStorageAblationTable();
-  PrintCvcpScalingTable(options.timings_file, options.store_dir);
+  PrintCvcpScalingTable();
   PrintTrialScalingTable();
-  PrintNestedVsSplitTable();
   PrintFoscCacheTable(table_threads, options.store_dir);
   if (!options.json_path.empty()) WriteJsonReport(options.json_path);
   if (!options.distance_json_path.empty()) {

@@ -60,18 +60,6 @@ struct TrialSpec {
   /// once, so downstream scores may differ in the last ulps — the f32
   /// ablation in bench_micro measures whether CVCP's *selections* move.
   DistanceStorage distance_storage = DistanceStorage::kF64;
-  /// Outer-lane width for the experiment loops (trials in RunExperiment,
-  /// datasets in RunAloiExperiment): 0 = automatic (policy decides),
-  /// 1 = serial outer loops (the whole budget goes to the CVCP cells, the
-  /// pre-PR3 behavior), N > 1 = N outer lanes, capped at the budget and —
-  /// under kNested — at the loop's own size (phantom lanes would dilute
-  /// the per-lane inner share).
-  int trial_threads = 0;
-  /// How the budget is shared across nesting levels (PlanBudget):
-  /// kNested (default) gives outer lanes × inner width ≈ budget with
-  /// help-while-waiting balancing; kSplit spends it all at one level.
-  /// Results are identical for either policy.
-  NestingPolicy nesting = NestingPolicy::kNested;
   /// Share supervision-independent per-dataset structures (distance
   /// matrix, OPTICS models) across all folds, grid values, and trials via
   /// a per-dataset DatasetCache (core/dataset_cache.h). Results are
@@ -86,11 +74,6 @@ struct TrialSpec {
   /// directory satisfies model builds from disk. Null keeps the original
   /// per-experiment private cache. Results are byte-identical either way.
   DatasetCachePool* cache_pool = nullptr;
-  /// Measured (param, fold) wall times fed to the cell cost model of every
-  /// trial's CVCP run (CellCostModel::prior_timings) — e.g. loaded from a
-  /// previous invocation via the bench `--timings-file` option. Execution
-  /// order only; results are identical with or without them.
-  std::vector<CvCellTiming> prior_timings;
 };
 
 /// Everything measured in one trial.
@@ -151,10 +134,11 @@ struct CellAggregate {
 };
 
 /// Runs `trials` independent trials (seeds forked from `seed` by trial id)
-/// and aggregates. Trials fan out over the execution engine according to
-/// `spec.exec`/`spec.trial_threads`; seeds are pre-forked by trial id and
-/// the reduction runs in trial order, so the aggregate (including error /
-/// skip semantics) is byte-identical for every thread count.
+/// and aggregates. Trials fan out over the execution engine, sharing
+/// `spec.exec`'s budget with their CVCP cells (PlanBudget); seeds are
+/// pre-forked by trial id and the reduction runs in trial order, so the
+/// aggregate (including error / skip semantics) is byte-identical for
+/// every thread count.
 CellAggregate RunExperiment(const Dataset& data,
                             const SemiSupervisedClusterer& clusterer,
                             const TrialSpec& spec, int trials, uint64_t seed);

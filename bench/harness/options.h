@@ -7,13 +7,12 @@
 /// vars) restores the paper's scale (50 trials, 100 ALOI datasets,
 /// 10-fold CV).
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "common/parallel.h"
+#include "common/distance.h"
 #include "common/status.h"
-#include "core/cross_validation.h"
 
 namespace cvcp::bench {
 
@@ -23,32 +22,16 @@ struct BenchOptions {
   std::size_t aloi_datasets = 10;  ///< paper: 100  (env CVCP_ALOI_DATASETS)
   int n_folds = 5;            ///< paper: "typically 10" (env CVCP_FOLDS)
   uint64_t seed = 20140324;   ///< EDBT 2014 start date (env CVCP_SEED)
-  /// CVCP execution-engine threads; 0 = all hardware threads. Results are
+  /// Thread budget shared by every nesting level (ALOI datasets, trials,
+  /// CVCP cells; see PlanBudget); 0 = all hardware threads. Results are
   /// identical for any value (env CVCP_THREADS).
   int threads = 0;
-  /// Outer-lane width for the experiment loops (trials / ALOI datasets):
-  /// 0 = automatic, 1 = serial outer loops (whole budget to the CVCP
-  /// cells), N > 1 = N outer lanes (capped at the budget and, under the
-  /// nested scheduler, at the loop's size). Results are identical for any
-  /// value (env CVCP_TRIAL_THREADS).
-  int trial_threads = 0;
-  /// Budget-sharing policy across nesting levels: kNested (default,
-  /// "nested") = outer lanes × inner width ≈ budget with
-  /// help-while-waiting balancing; kSplit ("split") = the whole budget at
-  /// one level. Results are identical for either (env CVCP_SCHEDULER).
-  NestingPolicy nesting = NestingPolicy::kNested;
   /// Per-dataset compute cache (core/dataset_cache.h): share the
   /// supervision-independent structures across folds, grid values, and
   /// trials. Results are byte-identical on or off; off restores the
   /// recompute-per-cell behavior for comparison (env CVCP_CACHE, "on" /
   /// "off" / "1" / "0").
   bool cache = true;
-  /// Path for persisting measured per-cell wall times across bench
-  /// invocations: loaded (if the file exists) into the cell cost model so
-  /// the measured-longest-first schedule survives process restarts, and
-  /// saved by benches that collect timings (bench_micro). Empty = no
-  /// persistence (env CVCP_TIMINGS_FILE).
-  std::string timings_file;
   /// Directory of the persistent artifact store (core/artifact_store.h):
   /// condensed distance matrices and OPTICS models are written there and
   /// loaded back on later runs — a second process on a warm directory
@@ -69,27 +52,22 @@ struct BenchOptions {
   DistanceStorage distance_storage = DistanceStorage::kF64;
 };
 
-/// Parses env vars, then `--paper` / `--trials N` / `--aloi N` /
-/// `--folds N` / `--seed N` / `--threads N` / `--trial-threads N` /
-/// `--scheduler nested|split` / `--cache on|off` / `--timings-file PATH` /
-/// `--store DIR` / `--store-capacity-mb N` /
-/// `--distance-storage f64|f32` flags (flags win).
+/// Parses env vars, then the flags (flags win): `--paper` /
+/// `--trials N` / `--aloi N` / `--folds N` / `--seed N` / `--threads N` /
+/// `--cache on|off` / `--store DIR` / `--store-capacity-mb N` /
+/// `--distance-storage f64|f32`. Errors with kInvalidArgument, naming the
+/// argument, on an unknown flag, a flag without its value, or a malformed
+/// value (numbers must be whole base-10 integers that fit the field).
+/// Malformed env values keep the default.
+Result<BenchOptions> TryParseBenchOptions(int argc, char** argv);
+
+/// TryParseBenchOptions for the bench mains: on error prints the error
+/// and one usage line to stderr and exits with status 2.
 BenchOptions ParseBenchOptions(int argc, char** argv);
 
 /// One-line banner describing the reproduction target and the scale.
 void PrintBanner(const BenchOptions& options, const std::string& title,
                  const std::string& paper_ref);
-
-/// Loads per-cell timings saved by SaveCellTimings ("param,fold,wall_ms"
-/// CSV lines). Errors with kNotFound when the file does not exist and
-/// kInvalidArgument on malformed lines.
-Result<std::vector<CvCellTiming>> LoadCellTimings(const std::string& path);
-
-/// Saves per-cell timings (e.g. CvcpReport::cell_timings) so a later
-/// invocation can feed them to CellCostModel::prior_timings via
-/// `--timings-file`. Overwrites the file.
-Status SaveCellTimings(const std::string& path,
-                       const std::vector<CvCellTiming>& timings);
 
 }  // namespace cvcp::bench
 

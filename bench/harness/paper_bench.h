@@ -32,12 +32,6 @@ struct PaperBenchContext {
   BenchOptions options;
   std::vector<Dataset> aloi;       ///< the ALOI-k5-like collection
   std::vector<SuiteEntry> suite;   ///< Iris, Wine-, Ionosphere-, Ecoli-, Zyeast-like
-  /// Measured per-cell wall times loaded from options.timings_file (empty
-  /// when the option is unset or the file is missing); fed into every
-  /// trial's cell cost model so the measured-longest-first schedule
-  /// survives process restarts. Execution order only — results are
-  /// identical with or without them.
-  std::vector<CvCellTiming> prior_timings;
   /// Persistent artifact tier (options.store_dir); null when no --store
   /// directory was configured. Owned by the context so one store serves
   /// every table/figure of the binary.

@@ -16,42 +16,14 @@ int ExecutionContext::ResolvedThreads() const {
   return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 }
 
-NestedBudget SplitBudget(const ExecutionContext& exec, size_t outer_size,
-                         int outer_threads) {
-  const int total = exec.ResolvedThreads();
-  NestedBudget split;
-  if (outer_threads > 0) {
-    // Explicit nesting mode: the caller fixes the outer width; a serial
-    // outer loop hands the whole budget to the inner level.
-    split.outer.threads = std::min(outer_threads, total);
-    split.inner.threads = split.outer.threads > 1 ? 1 : total;
-    return split;
-  }
-  if (total > 1 && outer_size >= static_cast<size_t>(total)) {
-    split.outer.threads = total;
-    split.inner.threads = 1;
-  } else {
-    split.outer.threads = 1;
-    split.inner.threads = total;
-  }
-  return split;
-}
-
-NestedBudget PlanBudget(const ExecutionContext& exec, size_t outer_size,
-                        int outer_threads, NestingPolicy policy) {
-  if (policy == NestingPolicy::kSplit) {
-    return SplitBudget(exec, outer_size, outer_threads);
-  }
+NestedBudget PlanBudget(const ExecutionContext& exec, size_t outer_size) {
   const int total = exec.ResolvedThreads();
   NestedBudget plan;
-  // Lanes: as many as the outer loop can use (even a forced width never
-  // exceeds outer_size — phantom lanes would dilute the inner share and
-  // underfill the budget), never more than the budget, at least one.
-  const int absorbable = static_cast<int>(std::min<size_t>(
+  // Lanes: as many as the outer loop can use (phantom lanes would dilute
+  // the inner share and underfill the budget), never more than the
+  // budget, at least one.
+  plan.outer.threads = static_cast<int>(std::min<size_t>(
       outer_size > 0 ? outer_size : 1, static_cast<size_t>(total)));
-  const int wanted =
-      outer_threads > 0 ? std::min(outer_threads, absorbable) : absorbable;
-  plan.outer.threads = std::max(1, std::min(wanted, total));
   // Each lane's inner share; ceil so the budget is never underfilled
   // (help-while-waiting soaks up the <= lanes - 1 rounding excess).
   plan.inner.threads =

@@ -17,7 +17,7 @@
 ///
 /// Determinism contract (the engine's contract everywhere): for loop
 /// bodies that write only to their own index's result slot, the output is
-/// bit-identical for every thread count, every nesting policy, and every
+/// bit-identical for every thread count, every nesting plan, and every
 /// execution order — parallelism changes wall time, never results.
 
 #include <atomic>
@@ -67,54 +67,18 @@ struct NestedBudget {
   ExecutionContext inner;
 };
 
-/// How PlanBudget divides one thread budget across two nesting levels.
-enum class NestingPolicy {
-  /// All-or-nothing: exactly one level spends the whole budget, the other
-  /// runs serial (the pre-help-while-waiting policy; see SplitBudget).
-  /// Narrow outer loops with wide inner loops leave the budget idle at
-  /// the per-iteration tails and serial sections.
-  kSplit,
-  /// Multiplicative: the outer loop gets min(outer_size, budget) lanes
-  /// and each lane's nested work gets ceil(budget / lanes) threads, so
-  /// outer lanes × inner width ≈ budget. Help-while-waiting absorbs the
-  /// imbalance: a lane that finishes early starts executing other lanes'
-  /// queued inner cells, so the whole budget stays busy until the last
-  /// cell of the last lane.
-  kNested,
-};
-
-/// Splits `exec`'s budget between an outer loop of `outer_size` iterations
-/// and the work nested inside each iteration, all-or-nothing
-/// (NestingPolicy::kSplit).
-///
-/// `outer_threads` == 0 picks automatically: the whole budget goes to the
-/// outermost level that can absorb it (`outer_size >=` resolved threads),
-/// because outer iterations are the coarsest units — per-cell timings show
-/// highly uneven cell costs, and coarse tasks claimed dynamically amortize
-/// scheduling overhead and balance that skew best — and otherwise the
-/// budget drops to the inner level so small outer loops still scale.
-/// `outer_threads` == 1 forces the outer loop serial (all budget inner);
-/// `outer_threads` > 1 forces that many outer lanes (capped at the
-/// budget), inner serial.
-///
-/// Either way both returned contexts have concrete (resolved) thread
-/// counts and results are identical to the serial schedule whenever the
-/// loop bodies follow the engine's slot-writing discipline.
-NestedBudget SplitBudget(const ExecutionContext& exec, size_t outer_size,
-                         int outer_threads = 0);
-
 /// Divides `exec`'s budget between an outer loop of `outer_size`
-/// iterations and the work nested inside each iteration, according to
-/// `policy`. `outer_threads` keeps its SplitBudget meaning at every
-/// policy: 0 = automatic, 1 = serial outer loop (whole budget inner),
-/// N > 1 = force N outer lanes (capped at the budget; under kNested each
-/// lane still gets its ceil(budget / lanes) inner share instead of being
-/// forced serial). Under kNested the planned widths multiply to at most
-/// budget + lanes − 1 (ceil rounding); the pool's fixed thread count is
-/// the hard physical cap. Results are identical for every policy and
-/// width — the planner only moves wall time around.
-NestedBudget PlanBudget(const ExecutionContext& exec, size_t outer_size,
-                        int outer_threads, NestingPolicy policy);
+/// iterations and the work nested inside each iteration: the outer loop
+/// gets min(outer_size, budget) lanes (at least one) and each lane's
+/// nested work gets ceil(budget / lanes) threads, so outer lanes × inner
+/// width ≈ budget (at most budget + lanes − 1; the pool's fixed thread
+/// count is the hard physical cap). Help-while-waiting absorbs the
+/// imbalance: a lane that finishes early executes other lanes' queued
+/// inner cells, so the whole budget stays busy until the last cell of the
+/// last lane. Both returned contexts have concrete (resolved) thread
+/// counts, and results are identical to the serial schedule whenever the
+/// loop bodies follow the engine's slot-writing discipline.
+NestedBudget PlanBudget(const ExecutionContext& exec, size_t outer_size);
 
 /// Runs `fn(i)` for every i in [0, n). With a resolved thread count of 1
 /// this is a plain ascending loop; otherwise up to
@@ -138,9 +102,9 @@ void ParallelFor(const ExecutionContext& exec, size_t n,
 
 /// Tracks the lowest failing index of a ParallelFor fan-out whose
 /// reduction is first-error-wins. Correct for *any* execution order (the
-/// cost-sorted scheduler runs cells out of ascending order): only indices
-/// *above* the lowest recorded failure are ever skipped, so every index
-/// below it still runs and may record a lower failure; failures are
+/// longest-first cell scheduler runs cells out of ascending order): only
+/// indices *above* the lowest recorded failure are ever skipped, so every
+/// index below it still runs and may record a lower failure; failures are
 /// deterministic per index, so the minimum settles on exactly the index
 /// the serial stop-at-first-error loop would have reported — the serial
 /// error semantics, minus the wasted work above the failure.

@@ -7,7 +7,6 @@
 namespace cvcp {
 
 namespace {
-thread_local bool tls_on_worker_thread = false;
 
 /// Runs an adopted task on a waiting thread. An exception escaping here
 /// would unwind the waiter's ParallelFor frame while its other lanes
@@ -98,7 +97,6 @@ void ThreadPool::NotifyCompletion() {
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_on_worker_thread = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -112,8 +110,6 @@ void ThreadPool::WorkerLoop() {
     task();
   }
 }
-
-bool ThreadPool::OnWorkerThread() { return tls_on_worker_thread; }
 
 ThreadPool& ThreadPool::Shared() {
   // Leaked on purpose: worker threads must not outlive the pool, and

@@ -95,13 +95,6 @@ class ThreadPool {
   /// `done()` true.
   void NotifyCompletion();
 
-  /// True when the calling thread is a worker of *any* ThreadPool.
-  /// Diagnostic only since the help-while-waiting scheduler landed:
-  /// ParallelFor no longer needs to special-case worker threads (nested
-  /// fan-outs enqueue like any other and waiters help), so nothing
-  /// load-bearing reads this anymore.
-  static bool OnWorkerThread();
-
   /// Process-wide shared pool, sized to the hardware concurrency (at least
   /// one worker), created on first use and intentionally kept alive for
   /// the process lifetime.

@@ -59,34 +59,6 @@ std::string OpticsFileName(uint64_t hash, Metric metric, int min_pts,
 /// trailing record at all, so neither decodes as the other.
 constexpr uint32_t kOpticsF32Marker = 1;
 
-/// Tags come from callers (bench names); squash anything that is not
-/// filename-safe so a tag can never escape the store directory.
-std::string SanitizeTag(const std::string& tag) {
-  std::string out = tag;
-  for (char& c : out) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_';
-    if (!safe) c = '_';
-  }
-  return out;
-}
-
-std::string TimingsFileName(uint64_t hash, const std::string& tag) {
-  return Format("%016llx-%s-timings.cvcp",
-                static_cast<unsigned long long>(hash),
-                SanitizeTag(tag).c_str());
-}
-
-/// Ints ride in u64 records with sign extension, so negative values (not
-/// expected, but legal in CvCellTiming) round-trip exactly.
-uint64_t EncodeInt(int v) {
-  return static_cast<uint64_t>(static_cast<int64_t>(v));
-}
-
-int DecodeInt(uint64_t v) {
-  return static_cast<int>(static_cast<int64_t>(v));
-}
-
 /// Fills `storage` + `decoded_key` of a listed file from its validated
 /// block records, and cross-checks the filename's "-f32" suffix against
 /// what the payload actually is — a renamed file surfaces as invalid here
@@ -149,17 +121,6 @@ void DescribeArtifact(BlockReader* reader, ArtifactFileInfo* info) {
       }
       break;
     }
-    case ArtifactKind::kCellTimings: {
-      Result<uint64_t> hash = reader->ReadU64();
-      Result<std::string> tag = reader->ReadString();
-      if (!hash.ok() || !tag.ok()) {
-        return fail("undecodable timings key records");
-      }
-      info->decoded_key =
-          Format("hash=%016llx tag=%s",
-                 static_cast<unsigned long long>(*hash), tag->c_str());
-      break;
-    }
     default:
       break;
   }
@@ -173,8 +134,6 @@ const char* ArtifactKindName(ArtifactKind kind) {
       return "distances";
     case ArtifactKind::kOpticsModel:
       return "optics";
-    case ArtifactKind::kCellTimings:
-      return "timings";
     case ArtifactKind::kDistanceMatrixF32:
       return "distances-f32";
   }
@@ -324,56 +283,6 @@ Result<OpticsResult> DecodeOpticsModel(std::string bytes,
   return optics;
 }
 
-std::string EncodeCellTimings(uint64_t key_hash, const std::string& tag,
-                              const std::vector<CvCellTiming>& timings) {
-  BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kCellTimings));
-  builder.AppendU64(key_hash);
-  builder.AppendString(tag);
-  std::vector<size_t> params(timings.size());
-  std::vector<size_t> folds(timings.size());
-  std::vector<double> wall(timings.size());
-  for (size_t i = 0; i < timings.size(); ++i) {
-    params[i] = EncodeInt(timings[i].param);
-    folds[i] = EncodeInt(timings[i].fold);
-    wall[i] = timings[i].wall_ms;
-  }
-  builder.AppendSizes(params);
-  builder.AppendSizes(folds);
-  builder.AppendDoubles(wall);
-  return builder.Finish();
-}
-
-Result<std::vector<CvCellTiming>> DecodeCellTimings(std::string bytes,
-                                                    uint64_t key_hash,
-                                                    const std::string& tag) {
-  CVCP_ASSIGN_OR_RETURN(
-      BlockReader reader,
-      BlockReader::Open(std::move(bytes),
-                        static_cast<uint32_t>(ArtifactKind::kCellTimings)));
-  CVCP_ASSIGN_OR_RETURN(uint64_t stored_hash, reader.ReadU64());
-  CVCP_ASSIGN_OR_RETURN(std::string stored_tag, reader.ReadString());
-  if (stored_hash != key_hash || stored_tag != tag) {
-    return Status::Corruption(
-        "timings block is keyed to a different (hash, tag)");
-  }
-  CVCP_ASSIGN_OR_RETURN(std::vector<size_t> params, reader.ReadSizes());
-  CVCP_ASSIGN_OR_RETURN(std::vector<size_t> folds, reader.ReadSizes());
-  CVCP_ASSIGN_OR_RETURN(std::vector<double> wall, reader.ReadDoubles());
-  if (folds.size() != params.size() || wall.size() != params.size()) {
-    return Status::Corruption(
-        Format("timings block arrays disagree: %zu params, %zu folds, "
-               "%zu walls",
-               params.size(), folds.size(), wall.size()));
-  }
-  std::vector<CvCellTiming> out(params.size());
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i].param = DecodeInt(params[i]);
-    out[i].fold = DecodeInt(folds[i]);
-    out[i].wall_ms = wall[i];
-  }
-  return out;
-}
-
 ArtifactStore::ArtifactStore(std::string directory)
     : directory_(std::move(directory)) {}
 
@@ -469,24 +378,6 @@ Status ArtifactStore::SaveOpticsModel(uint64_t dataset_hash, Metric metric,
   return WriteFileAtomic(
       OpticsFileName(dataset_hash, metric, min_pts, storage),
       EncodeOpticsModel(dataset_hash, metric, min_pts, optics, storage));
-}
-
-Result<std::vector<CvCellTiming>> ArtifactStore::LoadCellTimings(
-    uint64_t key_hash, const std::string& tag) {
-  Result<std::string> bytes = ReadFile(TimingsFileName(key_hash, tag));
-  if (!bytes.ok()) return ClassifyMiss(bytes.status());
-  Result<std::vector<CvCellTiming>> decoded =
-      DecodeCellTimings(std::move(bytes).value(), key_hash, tag);
-  if (!decoded.ok()) return ClassifyMiss(decoded.status());
-  disk_hits_.fetch_add(1, std::memory_order_relaxed);
-  return decoded;
-}
-
-Status ArtifactStore::SaveCellTimings(
-    uint64_t key_hash, const std::string& tag,
-    const std::vector<CvCellTiming>& timings) {
-  return WriteFileAtomic(TimingsFileName(key_hash, tag),
-                         EncodeCellTimings(key_hash, tag, timings));
 }
 
 Result<std::vector<ArtifactFileInfo>> ArtifactStore::List() const {

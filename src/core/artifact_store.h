@@ -3,8 +3,8 @@
 
 /// \file
 /// The persistent (disk) tier of the compute-cache stack: serialized
-/// supervision-independent artifacts — condensed distance matrices,
-/// OPTICS models, measured cell timings — in one block-format file each
+/// supervision-independent artifacts — condensed distance matrices and
+/// OPTICS models — in one block-format file each
 /// (common/block_format.h), so bench invocations and separate processes
 /// warm-start each other instead of recomputing identical geometry.
 ///
@@ -45,7 +45,6 @@
 #include "common/distance.h"
 #include "common/matrix.h"
 #include "common/status.h"
-#include "core/cross_validation.h"
 
 namespace cvcp {
 
@@ -53,12 +52,14 @@ namespace cvcp {
 enum class ArtifactKind : uint32_t {
   kDistanceMatrix = 1,      ///< condensed distances, f64 payload
   kOpticsModel = 2,
-  kCellTimings = 3,
+  // 3 is retired (measured cell timings, no longer written). Never reuse
+  // it: old store directories may still hold such files, which List
+  // reports as "unknown" and Purge removes.
   kDistanceMatrixF32 = 4,   ///< condensed distances, f32 payload
 };
 
-/// Stable display name for a kind ("distances", "optics", "timings",
-/// "distances-f32").
+/// Stable display name for a kind ("distances", "optics",
+/// "distances-f32"; "unknown" for any other value).
 const char* ArtifactKindName(ArtifactKind kind);
 
 /// Content hash of a point matrix: dims + every coordinate's bit
@@ -96,11 +97,6 @@ Result<OpticsResult> DecodeOpticsModel(std::string bytes,
                                        int min_pts,
                                        DistanceStorage storage =
                                            DistanceStorage::kF64);
-std::string EncodeCellTimings(uint64_t key_hash, const std::string& tag,
-                              const std::vector<CvCellTiming>& timings);
-Result<std::vector<CvCellTiming>> DecodeCellTimings(std::string bytes,
-                                                    uint64_t key_hash,
-                                                    const std::string& tag);
 
 /// One file of a store directory, as seen by `List` (tools/store_inspect).
 struct ArtifactFileInfo {
@@ -111,7 +107,7 @@ struct ArtifactFileInfo {
   bool valid = false;   ///< full frame validation passed
   std::string detail;   ///< error text when !valid
   /// Distance storage mode decoded from the payload ("f64" or "f32";
-  /// empty for kinds that carry no distances, e.g. timings).
+  /// empty for kinds that carry no distances).
   std::string storage;
   /// Human-readable decoded key fields, e.g.
   /// "hash=41c3... metric=euc mp=005". Empty when the payload is
@@ -165,14 +161,6 @@ class ArtifactStore {
   Status SaveOpticsModel(uint64_t dataset_hash, Metric metric, int min_pts,
                          const OpticsResult& optics,
                          DistanceStorage storage = DistanceStorage::kF64);
-
-  /// Measured (param, fold) wall times under an arbitrary (hash, tag)
-  /// key — the cost model's cross-process memory. Execution order only;
-  /// results never depend on them.
-  Result<std::vector<CvCellTiming>> LoadCellTimings(uint64_t key_hash,
-                                                    const std::string& tag);
-  Status SaveCellTimings(uint64_t key_hash, const std::string& tag,
-                         const std::vector<CvCellTiming>& timings);
 
   /// Every `*.cvcp` file in the directory with its validation outcome.
   /// An absent directory lists as empty (a store is born lazily).

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -29,7 +27,6 @@ struct CvCell {
 struct CvCellResult {
   Status status;
   double score = std::numeric_limits<double>::quiet_NaN();
-  double wall_ms = 0.0;
 };
 
 /// Supervision size of a fold for the cost estimate: labeled training
@@ -40,28 +37,17 @@ size_t FoldTrainSize(const FoldSplit& fold) {
 }
 
 /// The longest-first execution permutation of the cell list: cells sorted
-/// by descending cost (prior timing when the model has one for the cell's
-/// (param, fold), size estimate otherwise). stable_sort keeps equal-cost
-/// cells in canonical (grid-order, fold-order) — the permutation is a
-/// pure function of the inputs, never of wall clock or scheduling.
+/// by descending EstimateCost. stable_sort keeps equal-cost cells in
+/// canonical (grid-order, fold-order) — the permutation is a pure function
+/// of the inputs, never of wall clock or scheduling.
 std::vector<size_t> CostSortedOrder(const std::vector<CvCell>& cells,
-                                    const std::vector<FoldSplit>& folds,
-                                    const CellCostModel& cost) {
+                                    const std::vector<FoldSplit>& folds) {
   std::vector<size_t> order(cells.size());
   std::iota(order.begin(), order.end(), size_t{0});
-  std::map<std::pair<int, int>, double> prior;
-  for (const CvCellTiming& timing : cost.prior_timings) {
-    prior[{timing.param, timing.fold}] = timing.wall_ms;
-  }
   std::vector<double> estimate(cells.size());
   for (size_t c = 0; c < cells.size(); ++c) {
-    const auto it = prior.find(
-        {cells[c].param, static_cast<int>(cells[c].fold)});
-    estimate[c] = it != prior.end()
-                      ? it->second
-                      : CellCostModel::EstimateCost(
-                            cells[c].param,
-                            FoldTrainSize(folds[cells[c].fold]));
+    estimate[c] =
+        EstimateCost(cells[c].param, FoldTrainSize(folds[cells[c].fold]));
   }
   std::stable_sort(order.begin(), order.end(), [&estimate](size_t a,
                                                            size_t b) {
@@ -72,7 +58,7 @@ std::vector<size_t> CostSortedOrder(const std::vector<CvCell>& cells,
 
 }  // namespace
 
-double CellCostModel::EstimateCost(int param, size_t train_size) {
+double EstimateCost(int param, size_t train_size) {
   const double magnitude = param < 0 ? -static_cast<double>(param)
                                      : static_cast<double>(param);
   return (static_cast<double>(train_size) + 1.0) * (magnitude + 1.0);
@@ -96,11 +82,9 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
     SupervisionKind kind, const SemiSupervisedClusterer& clusterer,
     const std::vector<int>& param_grid, Rng* rng,
-    const ExecutionContext& exec, const CellCostModel& cost,
-    DatasetCache* cache, std::vector<CvCellTiming>* timings) {
+    const ExecutionContext& exec, DatasetCache* cache) {
   const size_t n_folds = folds.size();
   const size_t n_cells = param_grid.size() * n_folds;
-  if (timings != nullptr) timings->clear();
   // Already cancelled or past deadline: fail before materializing cells.
   CVCP_RETURN_IF_ERROR(exec.cancel.Check());
 
@@ -135,7 +119,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     }
     const CvCell& cell = cells[c];
     const FoldSplit& fold = folds[cell.fold];
-    const auto start = std::chrono::steady_clock::now();
     // Training supervision for this fold.
     Supervision train =
         kind == SupervisionKind::kLabels
@@ -154,9 +137,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
       out.status = clustering.status();
       first_error.Record(c);
     }
-    out.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
   };
 
   if (exec.ResolvedThreads() <= 1) {
@@ -166,16 +146,14 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
       run_cell(c);
       if (!results[c].status.ok()) break;
     }
-  } else if (cost.sort_by_cost) {
+  } else {
     // Longest-first execution: no expensive cell starts late and stretches
     // the fan-out's tail. Execution order is free to change — every cell
     // still writes its own slot, FirstErrorTracker never skips below the
     // lowest failure, and the reduction below stays in cell order — so
     // the report is bit-identical to any other schedule.
-    const std::vector<size_t> order = CostSortedOrder(cells, folds, cost);
+    const std::vector<size_t> order = CostSortedOrder(cells, folds);
     ParallelFor(exec, n_cells, [&](size_t k) { run_cell(order[k]); });
-  } else {
-    ParallelFor(exec, n_cells, run_cell);
   }
 
   // A fired token may have made ParallelFor skip cells without any lane
@@ -189,15 +167,6 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
   // the serial loop would have returned.
   for (const CvCellResult& result : results) {
     if (!result.status.ok()) return result.status;
-  }
-
-  if (timings != nullptr) {
-    timings->reserve(n_cells);
-    for (size_t c = 0; c < n_cells; ++c) {
-      timings->push_back(CvCellTiming{cells[c].param,
-                                      static_cast<int>(cells[c].fold),
-                                      results[c].wall_ms});
-    }
   }
 
   std::vector<CvScore> scores(param_grid.size());
@@ -230,7 +199,7 @@ Result<CvScore> ScoreParamOnFolds(const Dataset& data,
   CVCP_ASSIGN_OR_RETURN(
       std::vector<CvScore> scores,
       ScoreGridOnFolds(data, folds, kind, clusterer, {param}, rng, exec,
-                       CellCostModel{}, cache));
+                       cache));
   return std::move(scores.front());
 }
 

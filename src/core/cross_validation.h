@@ -12,12 +12,12 @@
 /// Execution model: every (param, fold) cell is an independent clustering
 /// job with a pre-forked RNG, so the grid×fold sweep is materialized as a
 /// job list and fanned out across the shared thread pool
-/// (ScoreGridOnFolds). Cell *execution* order is guided by a per-cell
-/// cost model (CellCostModel: prior timings or a size-based estimate,
-/// longest first) to shrink the parallel tail, but scores are always
-/// reduced in (grid-order, fold-order) sequence and the first error in
-/// that order wins, which keeps results — including error semantics —
-/// bit-identical to the serial loop no matter how cells are scheduled.
+/// (ScoreGridOnFolds). On the parallel path cells run longest-first by a
+/// size-based estimate (EstimateCost) to shrink the tail, but scores are
+/// always reduced in (grid-order, fold-order) sequence and the first
+/// error in that order wins, which keeps results — including error
+/// semantics — bit-identical to the serial loop no matter how cells are
+/// scheduled.
 
 #include <cstdint>
 #include <vector>
@@ -39,36 +39,13 @@ namespace cvcp {
 inline constexpr uint64_t kFoldStreamId = 0xF01D5ULL;
 inline constexpr uint64_t kScoreStreamId = 0x5C0BEULL;
 
-/// Wall-clock cost of one (param, fold) clustering job.
-struct CvCellTiming {
-  int param = 0;
-  int fold = 0;
-  double wall_ms = 0.0;
-};
-
-/// Guides the *execution* order of the grid×fold cells: the scheduler
-/// runs the most expensive cells first so no long cell starts late and
-/// stretches the tail of the fan-out. Only wall time is affected —
-/// reduction stays in (grid-order, fold-order), so reports are
-/// bit-identical with the model on, off, or fed arbitrary timings.
-struct CellCostModel {
-  /// Run cells longest-first (parallel path only; the serial path always
-  /// runs in canonical order). Off = materialization order.
-  bool sort_by_cost = true;
-  /// Measured per-cell wall times from a prior run on the same grid —
-  /// typically CvcpReport::cell_timings (collect_timings). Cells found
-  /// here (by (param, fold)) use the measured cost; all others fall back
-  /// to the size-based estimate.
-  std::vector<CvCellTiming> prior_timings;
-
-  /// Cheap a-priori cost proxy for a cell without a prior timing:
-  /// (training supervision size + 1) × (|param| + 1). Both factors grow
-  /// the clustering work monotonically for every algorithm in the tree
-  /// (more constraints/labels to satisfy; larger k / MinPts neighborhood),
-  /// which is all longest-first ordering needs — relative, not absolute,
-  /// accuracy.
-  static double EstimateCost(int param, size_t train_size);
-};
+/// Cheap a-priori cost proxy for one (param, fold) cell, used to run the
+/// grid×fold cells longest-first on the parallel path:
+/// (training supervision size + 1) × (|param| + 1). Both factors grow the
+/// clustering work monotonically for every algorithm in the tree (more
+/// constraints/labels to satisfy; larger k / MinPts neighborhood), which
+/// is all longest-first ordering needs — relative, not absolute, accuracy.
+double EstimateCost(int param, size_t train_size);
 
 /// Cross-validation configuration.
 struct CvConfig {
@@ -78,9 +55,6 @@ struct CvConfig {
   /// Parallelism for the grid×fold job fan-out (results are identical for
   /// any thread count; threads = 1 forces the serial code path).
   ExecutionContext exec;
-  /// Cost-model-guided cell execution order (identical results either
-  /// way; see CellCostModel).
-  CellCostModel cost;
 };
 
 /// Builds the scenario-appropriate folds for the given supervision:
@@ -101,24 +75,20 @@ struct CvScore {
 /// Scores every grid value on prebuilt folds through the job-based
 /// scheduler: all (param, fold) cells are materialized up front, each
 /// cell's RNG is pre-forked exactly as the serial loop forks it, the
-/// cells run on the shared pool (`exec`) in cost-model order (`cost`:
-/// longest first, from prior timings or the size estimate), and fold
-/// scores are reduced in (grid-order, fold-order) sequence with
+/// cells run on the shared pool (`exec`) longest-first by EstimateCost,
+/// and fold scores are reduced in (grid-order, fold-order) sequence with
 /// first-error-wins Status propagation. Returned scores are bit-identical
 /// to scoring each param serially, for every thread count and execution
 /// order. When `cache` is non-null every cell clusters through the
 /// per-dataset compute cache (supervision-independent stages — distance
 /// matrix, OPTICS models — are built once and shared across the G×F
-/// cells; results stay byte-identical, see core/dataset_cache.h). When
-/// `timings` is non-null it is filled with one entry per cell in
-/// (grid-order, fold-order).
+/// cells; results stay byte-identical, see core/dataset_cache.h).
 Result<std::vector<CvScore>> ScoreGridOnFolds(
     const Dataset& data, const std::vector<FoldSplit>& folds,
     SupervisionKind kind, const SemiSupervisedClusterer& clusterer,
     const std::vector<int>& param_grid, Rng* rng,
     const ExecutionContext& exec = ExecutionContext::Serial(),
-    const CellCostModel& cost = {}, DatasetCache* cache = nullptr,
-    std::vector<CvCellTiming>* timings = nullptr);
+    DatasetCache* cache = nullptr);
 
 /// Scores `param` on prebuilt folds. The clusterer sees each fold's
 /// training supervision (labels when Scenario I provided them, else

@@ -27,9 +27,7 @@ Result<CvcpReport> RunCvcp(const Dataset& data, const Supervision& supervision,
       std::vector<CvScore> cv_scores,
       ScoreGridOnFolds(data, folds, supervision.kind(), clusterer,
                        config.param_grid, &score_rng, config.cv.exec,
-                       config.cv.cost, cache,
-                       config.collect_timings ? &report.cell_timings
-                                              : nullptr));
+                       cache));
 
   report.scores.reserve(config.param_grid.size());
   bool have_best = false;

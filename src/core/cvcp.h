@@ -24,14 +24,11 @@
 namespace cvcp {
 
 /// CVCP configuration: the CV protocol and the candidate grid. Parallelism
-/// is configured through `cv.exec` and the cell execution order through
-/// `cv.cost`; any thread count and any execution order yield bit-identical
+/// is configured through `cv.exec`; any thread count yields bit-identical
 /// reports.
 struct CvcpConfig {
   CvConfig cv;
   std::vector<int> param_grid;
-  /// Record per-(param, fold) wall time in CvcpReport::cell_timings.
-  bool collect_timings = false;
 };
 
 /// Cross-validated quality of one grid value.
@@ -51,12 +48,6 @@ struct CvcpReport {
   /// Step 4: clustering of the whole dataset with all supervision at
   /// best_param.
   Clustering final_clustering;
-  /// Per-cell wall time in (grid-order, fold-order); only filled when
-  /// CvcpConfig::collect_timings is set. Timing values depend on machine
-  /// load — everything else in the report is deterministic. Feed these
-  /// into CellCostModel::prior_timings (`cv.cost`) of a later run on the
-  /// same grid to schedule its cells measured-longest-first.
-  std::vector<CvCellTiming> cell_timings;
 };
 
 /// Runs CVCP. Errors with kInvalidArgument for an empty grid, propagates

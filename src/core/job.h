@@ -16,10 +16,9 @@
 /// The codecs here give jobs and reports a durable wire/disk form on the
 /// block-format record primitives (common/block_format.h): doubles travel
 /// as IEEE-754 bit patterns, so encode→decode→encode is the identity on
-/// bytes. `CvcpReport::cell_timings` is deliberately NOT encoded — wall
-/// times are the one nondeterministic report field, and both the service
-/// determinism contract and the versioned result store require encoded
-/// reports to be byte-stable.
+/// bytes. The codec encodes every `CvcpReport` field, and both the
+/// service determinism contract and the versioned result store require
+/// encoded reports to be byte-stable.
 
 #include <cstdint>
 #include <memory>
@@ -94,7 +93,6 @@ struct JobContext {
 };
 
 /// Runs the job end to end: supervision oracle → clusterer → RunCvcp.
-/// Timing collection is always off (reports must be byte-stable).
 Result<CvcpReport> RunJob(const Dataset& data, const JobSpec& spec,
                           const JobContext& context = {});
 
@@ -117,9 +115,8 @@ Result<JobSpec> DecodeJobSpec(std::string bytes);
 /// versions 1, 2, ... of the same logical job.
 uint64_t JobSpecHash(const JobSpec& spec);
 
-/// Report codec. Every deterministic field round-trips bit-exactly
-/// (scores as IEEE-754 bit patterns, assignments incl. the -1 noise id);
-/// `cell_timings` is dropped by design (see file comment).
+/// Report codec. Every field round-trips bit-exactly
+/// (scores as IEEE-754 bit patterns, assignments incl. the -1 noise id).
 void AppendCvcpReportRecords(const CvcpReport& report, BlockBuilder* builder);
 Result<CvcpReport> ReadCvcpReportRecords(BlockReader* reader);
 std::string EncodeCvcpReport(const CvcpReport& report);

@@ -1,6 +1,8 @@
 // Determinism suite for the parallel CVCP execution engine: RunCvcp must
 // produce byte-identical reports for every thread count, on both
-// supervision scenarios. Scores are compared through their bit patterns so
+// supervision scenarios. The parallel runs execute cells longest-first
+// (EstimateCost), not in the serial loop's order, so these also pin that
+// execution order never reaches the report. Scores are compared through their bit patterns so
 // even sign-of-zero or NaN-payload drift would fail.
 
 #include <gtest/gtest.h>
@@ -59,8 +61,7 @@ struct ConstraintFixture {
 
 uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
 
-/// Asserts two reports are byte-identical in every deterministic field
-/// (cell timings are wall-clock and legitimately differ).
+/// Asserts two reports are byte-identical in every field.
 void ExpectReportsIdentical(const CvcpReport& a, const CvcpReport& b,
                             int threads) {
   EXPECT_EQ(a.best_param, b.best_param) << "threads " << threads;
@@ -114,54 +115,29 @@ TEST(CvcpDeterminismTest, ScenarioTwoConstraintsFoscBitIdentical) {
   CheckThreadCountInvariance(fixture, config);
 }
 
-// Cost-sorted execution (the default) permutes the order cells *run* in;
-// the reduction stays in (grid-order, fold-order), so the report must be
-// byte-identical whether the cost model is on, off, or fed real measured
-// timings — on both supervision scenarios.
+// On the parallel path cells run longest-first by EstimateCost, so a
+// grid given out of order runs in an order that interleaves its entries.
+// The reduction stays in (grid-order, fold-order): the report must list
+// the grid as given and match the serial loop byte for byte.
 template <typename Fixture>
-void CheckCostModelInvariance(const Fixture& fixture,
-                              const CvcpConfig& base_config) {
-  CvcpConfig config = base_config;
+void CheckCostSortedInvariance(const Fixture& fixture, CvcpConfig config) {
   config.cv.exec = ExecutionContext::Serial();
   Rng serial_rng(707);
   auto serial = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
                         config, &serial_rng);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->scores.size(), config.param_grid.size());
+  for (size_t g = 0; g < config.param_grid.size(); ++g) {
+    EXPECT_EQ(serial->scores[g].param, config.param_grid[g]) << "grid " << g;
+  }
 
-  // Harvest real per-cell timings to drive the measured-cost schedule.
-  config.cv.exec.threads = 4;
-  config.collect_timings = true;
-  Rng timing_rng(707);
-  auto timed = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
-                       config, &timing_rng);
-  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
-  ExpectReportsIdentical(*serial, *timed, 4);
-
-  struct ModelCase {
-    const char* name;
-    bool sort_by_cost;
-    bool with_prior;
-  };
-  const ModelCase cases[] = {
-      {"estimate-sorted", true, false},
-      {"measured-sorted", true, true},
-      {"unsorted", false, false},
-  };
-  for (const ModelCase& model : cases) {
-    for (int threads : {2, 8}) {
-      config.cv.exec.threads = threads;
-      config.cv.cost.sort_by_cost = model.sort_by_cost;
-      config.cv.cost.prior_timings =
-          model.with_prior ? timed->cell_timings
-                           : std::vector<CvCellTiming>{};
-      Rng rng(707);
-      auto parallel = RunCvcp(fixture.data, fixture.supervision,
-                              fixture.clusterer, config, &rng);
-      ASSERT_TRUE(parallel.ok())
-          << model.name << ": " << parallel.status().ToString();
-      SCOPED_TRACE(model.name);
-      ExpectReportsIdentical(*serial, *parallel, threads);
-    }
+  for (int threads : {2, 4, 8}) {
+    config.cv.exec.threads = threads;
+    Rng rng(707);
+    auto parallel = RunCvcp(fixture.data, fixture.supervision,
+                            fixture.clusterer, config, &rng);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    ExpectReportsIdentical(*serial, *parallel, threads);
   }
 }
 
@@ -169,62 +145,24 @@ TEST(CvcpDeterminismTest, CostSortedLabelsMpckMeansBitIdentical) {
   LabelFixture fixture;
   CvcpConfig config;
   config.cv.n_folds = 5;
-  config.param_grid = {2, 3, 4, 5, 6, 7, 8};
-  CheckCostModelInvariance(fixture, config);
+  config.param_grid = {5, 2, 8, 3, 7, 4, 6};
+  CheckCostSortedInvariance(fixture, config);
 }
 
 TEST(CvcpDeterminismTest, CostSortedConstraintsFoscBitIdentical) {
   ConstraintFixture fixture;
   CvcpConfig config;
   config.cv.n_folds = 4;
-  config.param_grid = {3, 6, 9, 12};
-  CheckCostModelInvariance(fixture, config);
+  config.param_grid = {9, 3, 12, 6};
+  CheckCostSortedInvariance(fixture, config);
 }
 
 TEST(CostModelTest, EstimateGrowsWithParamAndTrainingSize) {
-  EXPECT_GT(CellCostModel::EstimateCost(5, 100),
-            CellCostModel::EstimateCost(2, 100));
-  EXPECT_GT(CellCostModel::EstimateCost(5, 100),
-            CellCostModel::EstimateCost(5, 10));
+  EXPECT_GT(EstimateCost(5, 100), EstimateCost(2, 100));
+  EXPECT_GT(EstimateCost(5, 100), EstimateCost(5, 10));
   // Negative params cost by magnitude, and the estimate is never zero.
-  EXPECT_EQ(CellCostModel::EstimateCost(-5, 100),
-            CellCostModel::EstimateCost(5, 100));
-  EXPECT_GT(CellCostModel::EstimateCost(0, 0), 0.0);
-}
-
-TEST(CvcpDeterminismTest, TimingsCoverEveryCellInGridFoldOrder) {
-  LabelFixture fixture;
-  CvcpConfig config;
-  config.cv.n_folds = 3;
-  config.param_grid = {4, 2, 6};
-  config.collect_timings = true;
-  config.cv.exec.threads = 2;
-  Rng rng(404);
-  auto report = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
-                        config, &rng);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report->cell_timings.size(),
-            config.param_grid.size() * static_cast<size_t>(config.cv.n_folds));
-  size_t cell = 0;
-  for (int param : config.param_grid) {
-    for (int fold = 0; fold < config.cv.n_folds; ++fold, ++cell) {
-      EXPECT_EQ(report->cell_timings[cell].param, param) << "cell " << cell;
-      EXPECT_EQ(report->cell_timings[cell].fold, fold) << "cell " << cell;
-      EXPECT_GE(report->cell_timings[cell].wall_ms, 0.0) << "cell " << cell;
-    }
-  }
-}
-
-TEST(CvcpDeterminismTest, TimingsOffByDefault) {
-  LabelFixture fixture;
-  CvcpConfig config;
-  config.cv.n_folds = 3;
-  config.param_grid = {3, 4};
-  Rng rng(505);
-  auto report = RunCvcp(fixture.data, fixture.supervision, fixture.clusterer,
-                        config, &rng);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->cell_timings.empty());
+  EXPECT_EQ(EstimateCost(-5, 100), EstimateCost(5, 100));
+  EXPECT_GT(EstimateCost(0, 0), 0.0);
 }
 
 }  // namespace

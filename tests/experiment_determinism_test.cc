@@ -1,7 +1,7 @@
 // Determinism suite for the trial-level parallel experiment harness:
 // RunExperiment and RunAloiExperiment must produce byte-identical
 // aggregates — including the formatted table cells and boxplot renderings
-// built from them — for every thread count and every nesting mode.
+// built from them — for every thread count.
 // Mirrors cvcp_determinism_test.cc one layer up; doubles are compared
 // through their bit patterns so even sign-of-zero or NaN-payload drift
 // would fail.
@@ -106,28 +106,14 @@ void ExpectCellsIdentical(const CellAggregate& a, const CellAggregate& b,
   EXPECT_EQ(SigMarker(a.cvcp_vs_exp), SigMarker(b.cvcp_vs_exp)) << where;
 }
 
-/// The (threads, trial_threads, nesting) grid every scenario is checked
-/// over: automatic widths, forced outer lanes, and forced-serial outer
-/// loops, under both the all-or-nothing split and the nested-width
-/// help-while-waiting scheduler.
-struct EngineConfig {
-  int threads;
-  int trial_threads;
-  NestingPolicy nesting;
-};
+/// The thread budgets every scenario is checked at. Every fixture's outer
+/// loop (3-5 trials or datasets) is wider than a budget of 2 — PlanBudget
+/// gives it 2 lanes with serial cells — and narrower than a budget of 8,
+/// where each lane's CVCP cells get an inner width of 2 or 3.
+constexpr int kThreadCounts[] = {2, 8};
 
-const EngineConfig kConfigs[] = {
-    {2, 0, NestingPolicy::kSplit},  {8, 0, NestingPolicy::kSplit},
-    {2, 2, NestingPolicy::kSplit},  {8, 4, NestingPolicy::kSplit},
-    {8, 1, NestingPolicy::kSplit},  {2, 0, NestingPolicy::kNested},
-    {8, 0, NestingPolicy::kNested}, {8, 4, NestingPolicy::kNested},
-    {8, 1, NestingPolicy::kNested},
-};
-
-std::string Where(const EngineConfig& config) {
-  return "threads " + std::to_string(config.threads) + ", trial_threads " +
-         std::to_string(config.trial_threads) + ", " +
-         (config.nesting == NestingPolicy::kNested ? "nested" : "split");
+std::string Where(int threads) {
+  return "threads " + std::to_string(threads);
 }
 
 template <typename Clusterer>
@@ -135,19 +121,15 @@ void CheckExperimentInvariance(const Dataset& data, TrialSpec spec,
                                int trials) {
   Clusterer clusterer;
   spec.exec = ExecutionContext::Serial();
-  spec.trial_threads = 1;
-  spec.nesting = NestingPolicy::kSplit;
   const CellAggregate serial =
       RunExperiment(data, clusterer, spec, trials, /*seed=*/77);
   ASSERT_GE(serial.trials_ok, 2);
 
-  for (const EngineConfig& config : kConfigs) {
-    spec.exec.threads = config.threads;
-    spec.trial_threads = config.trial_threads;
-    spec.nesting = config.nesting;
+  for (int threads : kThreadCounts) {
+    spec.exec.threads = threads;
     const CellAggregate parallel =
         RunExperiment(data, clusterer, spec, trials, /*seed=*/77);
-    ExpectCellsIdentical(serial, parallel, Where(config));
+    ExpectCellsIdentical(serial, parallel, Where(threads));
   }
 }
 
@@ -168,8 +150,6 @@ TEST(ExperimentDeterminismTest, AloiAggregatesBitIdentical) {
   MpckMeansClusterer clusterer;
   TrialSpec spec = LabelSpec();
   spec.exec = ExecutionContext::Serial();
-  spec.trial_threads = 1;
-  spec.nesting = NestingPolicy::kSplit;
   const AloiAggregate serial =
       RunAloiExperiment(collection, clusterer, spec, /*trials=*/3,
                         /*seed=*/88);
@@ -180,14 +160,12 @@ TEST(ExperimentDeterminismTest, AloiAggregatesBitIdentical) {
        {"Sil", BoxplotStats::FromSamples(serial.pooled.sil_values)}},
       0.0, 1.0);
 
-  for (const EngineConfig& config : kConfigs) {
-    spec.exec.threads = config.threads;
-    spec.trial_threads = config.trial_threads;
-    spec.nesting = config.nesting;
+  for (int threads : kThreadCounts) {
+    spec.exec.threads = threads;
     const AloiAggregate parallel =
         RunAloiExperiment(collection, clusterer, spec, /*trials=*/3,
                           /*seed=*/88);
-    const std::string where = Where(config);
+    const std::string where = Where(threads);
     EXPECT_EQ(parallel.significant_vs_expected,
               serial.significant_vs_expected)
         << where;

@@ -4,6 +4,9 @@
 // score series.
 
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,30 +202,6 @@ TEST(BenchOptionsTest, FlagsOverrideDefaults) {
   EXPECT_EQ(o.seed, 123u);
 }
 
-TEST(BenchOptionsTest, TrialThreadsFlagParsedAndClamped) {
-  const char* argv[] = {"bench", "--trial-threads", "4"};
-  const BenchOptions o = ParseBenchOptions(3, const_cast<char**>(argv));
-  EXPECT_EQ(o.trial_threads, 4);
-  const char* negative[] = {"bench", "--trial-threads", "-2"};
-  const BenchOptions o2 = ParseBenchOptions(3, const_cast<char**>(negative));
-  EXPECT_EQ(o2.trial_threads, 0);  // 0 = automatic split
-}
-
-TEST(BenchOptionsTest, SchedulerFlagSelectsNestingPolicy) {
-  const BenchOptions defaults = ParseBenchOptions(0, nullptr);
-  EXPECT_EQ(defaults.nesting, NestingPolicy::kNested);
-  const char* split[] = {"bench", "--scheduler", "split"};
-  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(split)).nesting,
-            NestingPolicy::kSplit);
-  const char* nested[] = {"bench", "--scheduler", "nested"};
-  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(nested)).nesting,
-            NestingPolicy::kNested);
-  // Unknown values keep the default rather than aborting a bench run.
-  const char* typo[] = {"bench", "--scheduler", "sideways"};
-  EXPECT_EQ(ParseBenchOptions(3, const_cast<char**>(typo)).nesting,
-            NestingPolicy::kNested);
-}
-
 TEST(BenchOptionsTest, PaperFlagRestoresPaperScale) {
   const char* argv[] = {"bench", "--paper"};
   const BenchOptions o = ParseBenchOptions(2, const_cast<char**>(argv));
@@ -236,6 +215,72 @@ TEST(BenchOptionsTest, ClampsDegenerateValues) {
   const BenchOptions o = ParseBenchOptions(5, const_cast<char**>(argv));
   EXPECT_GE(o.trials, 2);
   EXPECT_GE(o.n_folds, 2);
+}
+
+/// TryParseBenchOptions over `args` (argv[0] is supplied).
+Result<BenchOptions> TryParse(std::vector<const char*> args) {
+  args.insert(args.begin(), "bench");
+  return TryParseBenchOptions(static_cast<int>(args.size()),
+                              const_cast<char**>(args.data()));
+}
+
+/// Asserts `args` is refused with kInvalidArgument naming `culprit`.
+void ExpectRefused(std::vector<const char*> args, const std::string& culprit) {
+  const Result<BenchOptions> parsed = TryParse(args);
+  ASSERT_FALSE(parsed.ok()) << culprit;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << culprit;
+  EXPECT_NE(parsed.status().message().find(culprit), std::string::npos)
+      << parsed.status().message();
+}
+
+TEST(BenchOptionsTest, AcceptsEveryKnownFlag) {
+  const Result<BenchOptions> parsed = TryParse(
+      {"--threads", "3", "--cache", "off", "--store", "dir",
+       "--store-capacity-mb", "64", "--distance-storage", "f32", "--seed",
+       "-1"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->threads, 3);
+  EXPECT_FALSE(parsed->cache);
+  EXPECT_EQ(parsed->store_dir, "dir");
+  EXPECT_EQ(parsed->store_capacity_mb, 64);
+  EXPECT_EQ(parsed->distance_storage, DistanceStorage::kF32);
+  EXPECT_EQ(parsed->seed, ~uint64_t{0});
+}
+
+TEST(BenchOptionsTest, UnknownFlagsAreRefused) {
+  // Flags of deleted features must fail loudly, not run a default bench.
+  ExpectRefused({"--scheduler", "split"}, "--scheduler");
+  ExpectRefused({"--trial-threads", "2"}, "--trial-threads");
+  ExpectRefused({"--timings-file", "t.csv"}, "--timings-file");
+  ExpectRefused({"--thread", "4"}, "--thread");
+  ExpectRefused({"--trials", "3", "table"}, "table");
+}
+
+TEST(BenchOptionsTest, MissingValuesAreRefused) {
+  ExpectRefused({"--threads"}, "--threads");
+  ExpectRefused({"--trials", "3", "--store"}, "--store");
+  ExpectRefused({"--cache"}, "--cache");
+}
+
+TEST(BenchOptionsTest, MalformedNumbersAreRefused) {
+  ExpectRefused({"--threads", "4x"}, "4x");
+  ExpectRefused({"--trials", ""}, "--trials");
+  ExpectRefused({"--aloi", "ten"}, "ten");
+  ExpectRefused({"--folds", "2.5"}, "2.5");
+  ExpectRefused({"--store-capacity-mb", "99999999999"}, "99999999999");
+  ExpectRefused({"--seed", "99999999999999999999"}, "99999999999999999999");
+}
+
+TEST(BenchOptionsTest, MalformedChoicesAreRefused) {
+  ExpectRefused({"--cache", "maybe"}, "maybe");
+  ExpectRefused({"--distance-storage", "f16"}, "f16");
+}
+
+TEST(BenchOptionsTest, FlagErrorPrintsUsageAndExitsTwo) {
+  const char* argv[] = {"bench", "--scheduler", "split"};
+  EXPECT_EXIT(ParseBenchOptions(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "unknown flag --scheduler\nusage: bench \\[--paper\\]");
 }
 
 TEST(FormattersTest, MeanStdAndSigMarker) {
