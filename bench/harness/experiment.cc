@@ -219,6 +219,15 @@ TrialResult RunTrial(const Dataset& data,
   return out;
 }
 
+DatasetCache* SelectCache(const TrialSpec& spec, const Dataset& data,
+                          std::optional<DatasetCache>* local) {
+  if (!spec.use_cache) return nullptr;
+  if (spec.cache_pool != nullptr) return spec.cache_pool->For(data.points());
+  local->emplace(data.points(),
+                 DatasetCacheTiers{nullptr, nullptr, spec.distance_storage});
+  return &**local;
+}
+
 CellAggregate RunExperiment(const Dataset& data,
                             const SemiSupervisedClusterer& clusterer,
                             const TrialSpec& spec, int trials, uint64_t seed) {
@@ -244,20 +253,9 @@ CellAggregate RunExperiment(const Dataset& data,
   // the cache only changes who computes the doubles, never their values.
   // A run-wide pool (shared LRU + optional disk store) takes precedence:
   // geometry then outlives this experiment and is shared across
-  // supervision levels and datasets. Otherwise fall back to a private
-  // per-experiment cache.
-  std::optional<DatasetCache> cache;
-  DatasetCache* cache_ptr = nullptr;
-  if (spec.use_cache) {
-    if (spec.cache_pool != nullptr) {
-      cache_ptr = spec.cache_pool->For(data.points());
-    } else {
-      cache.emplace(data.points(),
-                    DatasetCacheTiers{nullptr, nullptr,
-                                      spec.distance_storage});
-      cache_ptr = &*cache;
-    }
-  }
+  // supervision levels and datasets.
+  std::optional<DatasetCache> local_cache;
+  DatasetCache* cache_ptr = SelectCache(spec, data, &local_cache);
   // Build (or load, on a warm store) the whole supervision-independent
   // phase up front, so the fan-out below starts with a fully warm cache
   // and the disk tier is consulted once per artifact instead of racing.

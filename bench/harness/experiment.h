@@ -18,6 +18,7 @@
 /// count per-dataset significance as the paper's captions do.
 
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +106,13 @@ TrialResult RunTrial(const Dataset& data,
                      const SemiSupervisedClusterer& clusterer,
                      const TrialSpec& spec, uint64_t trial_seed,
                      DatasetCache* cache = nullptr);
+
+/// The compute cache an experiment on `data` runs against: the run-wide
+/// `spec.cache_pool`'s cache for the dataset when set, else a private
+/// cache in `spec.distance_storage`, emplaced into `*local`; null when
+/// `spec.use_cache` is off. Results are byte-identical for all three.
+DatasetCache* SelectCache(const TrialSpec& spec, const Dataset& data,
+                          std::optional<DatasetCache>* local);
 
 /// Aggregate of one experimental cell (dataset x level x algorithm).
 /// All means/stds skip NaN entries and the paired t-tests drop pairs where

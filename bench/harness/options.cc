@@ -14,11 +14,6 @@ namespace cvcp::bench {
 
 namespace {
 
-constexpr char kUsage[] =
-    "[--paper] [--trials N] [--aloi N] [--folds N] [--seed N] "
-    "[--threads N] [--cache on|off] [--store DIR] [--store-capacity-mb N] "
-    "[--distance-storage f64|f32]";
-
 // The parsers below write `*out` only on success, so a malformed
 // environment value leaves the default in place.
 
@@ -137,7 +132,7 @@ BenchOptions ParseBenchOptions(int argc, char** argv) {
   if (options.ok()) return std::move(options).value();
   const char* program = argc > 0 ? argv[0] : "bench";
   std::fprintf(stderr, "%s: %s\nusage: %s %s\n", program,
-               options.status().message().c_str(), program, kUsage);
+               options.status().message().c_str(), program, kBenchUsage);
   std::exit(2);
 }
 

@@ -52,6 +52,12 @@ struct BenchOptions {
   DistanceStorage distance_storage = DistanceStorage::kF64;
 };
 
+/// The flags TryParseBenchOptions accepts, as printed on a usage line.
+inline constexpr char kBenchUsage[] =
+    "[--paper] [--trials N] [--aloi N] [--folds N] [--seed N] "
+    "[--threads N] [--cache on|off] [--store DIR] [--store-capacity-mb N] "
+    "[--distance-storage f64|f32]";
+
 /// Parses env vars, then the flags (flags win): `--paper` /
 /// `--trials N` / `--aloi N` / `--folds N` / `--seed N` / `--threads N` /
 /// `--cache on|off` / `--store DIR` / `--store-capacity-mb N` /
@@ -61,7 +67,7 @@ struct BenchOptions {
 /// Malformed env values keep the default.
 Result<BenchOptions> TryParseBenchOptions(int argc, char** argv);
 
-/// TryParseBenchOptions for the bench mains: on error prints the error
+/// TryParseBenchOptions for a bench main: on error prints the error
 /// and one usage line to stderr and exits with status 2.
 BenchOptions ParseBenchOptions(int argc, char** argv);
 

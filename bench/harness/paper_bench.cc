@@ -240,19 +240,8 @@ void RunCurveFigure(const PaperBenchContext& ctx, BenchAlgo algo,
     std::vector<std::vector<double>> internal, external;
     std::vector<double> corrs;
     Rng seed_rng(CellSeed(ctx, d, 77));
-    // Same discipline as RunExperiment: front the dataset with the
-    // run-wide pool when available, else a private per-dataset cache
-    // (byte-identical results either way).
     std::optional<DatasetCache> local_cache;
-    DatasetCache* cache_ptr = nullptr;
-    if (spec.use_cache) {
-      if (spec.cache_pool != nullptr) {
-        cache_ptr = spec.cache_pool->For(ctx.aloi[d].points());
-      } else {
-        local_cache.emplace(ctx.aloi[d].points());
-        cache_ptr = &*local_cache;
-      }
-    }
+    DatasetCache* cache_ptr = SelectCache(spec, ctx.aloi[d], &local_cache);
     clusterer->PrewarmCache(ctx.aloi[d], spec.grid, cache_ptr, spec.exec);
     for (int t = 0; t < ctx.options.trials; ++t) {
       TrialResult trial = RunTrial(ctx.aloi[d], *clusterer, spec,

@@ -2,10 +2,11 @@
 #define CVCP_BENCH_HARNESS_PAPER_BENCH_H_
 
 /// \file
-/// Shared assembly for the per-table / per-figure bench binaries: the
-/// dataset suite (ALOI-like collection + Iris + four simulated UCI/Zyeast
-/// stand-ins) and printers that lay results out in the same row/column
-/// shape as the paper's Tables 1-16 and Figures 5-12.
+/// Shared assembly for the paper-table and paper-figure entries of
+/// `cvcp_bench` (catalog.h): the dataset suite (ALOI-like collection +
+/// Iris + four simulated UCI/Zyeast stand-ins) and printers that lay
+/// results out in the same row/column shape as the paper's Tables 1-16 and
+/// Figures 5-12.
 
 #include <memory>
 #include <string>

@@ -6,8 +6,9 @@
 /// (objects left unclustered by density-based extraction). Throughout the
 /// library, noise objects are treated as *singletons*: a noise object is
 /// never "in the same cluster" as anything, including another noise object.
-/// DESIGN.md §6 records this decision; bench_ablation_noise measures the
-/// alternative.
+/// Merging all noise into one cluster instead would count must-links
+/// between unclustered objects as satisfied, rewarding extractions that
+/// cluster nothing; `cvcp_bench ablation_noise` measures that alternative.
 
 #include <vector>
 

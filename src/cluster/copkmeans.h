@@ -8,7 +8,7 @@
 /// assignments made so far; if no cluster is feasible the pass fails and the
 /// run is restarted with a different order/seeding. Included as the
 /// extension algorithm for the "CVCP with other methods" future-work
-/// experiment (bench_ablation_copkmeans).
+/// experiment (`cvcp_bench ablation_copkmeans`).
 
 #include "cluster/clustering.h"
 #include "common/matrix.h"

@@ -17,7 +17,7 @@
 ///   * cannot-link (a,b): +1/2 for each endpoint in C whose partner is
 ///     *not* in C.
 /// Objects covered by no selected cluster are noise; their endpoints earn
-/// nothing (DESIGN.md §6).
+/// nothing (the noise convention of cluster/clustering.h).
 ///
 /// The unsupervised objective is the classic lifetime stability
 /// |C| * (h(parent) - h(C)); `alpha` blends the two (1.0 = pure

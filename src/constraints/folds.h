@@ -44,8 +44,8 @@ struct FoldSplit {
 struct FoldConfig {
   int n_folds = 10;
   /// Scenario I: spread each class evenly over folds. The paper uses plain
-  /// random folds; stratification is provided as an option (see
-  /// bench_ablation_folds).
+  /// random folds, and so does `cvcp_bench ablation_folds`, which varies
+  /// only n_folds; stratification is provided as an option.
   bool stratified = false;
 };
 
@@ -63,9 +63,10 @@ Result<std::vector<FoldSplit>> MakeLabelFolds(
 Result<std::vector<FoldSplit>> MakeConstraintFolds(
     const ConstraintSet& constraints, const FoldConfig& config, Rng* rng);
 
-/// Deliberately *unsound* Scenario II splitter used by bench_ablation_leakage:
-/// splits the constraint list itself into n folds (no object partitioning,
-/// no graph cut), exactly the naive procedure §3.1 warns against.
+/// Deliberately *unsound* Scenario II splitter used by `cvcp_bench
+/// ablation_leakage`: splits the constraint list itself into n folds (no
+/// object partitioning, no graph cut), exactly the naive procedure §3.1
+/// warns against.
 Result<std::vector<FoldSplit>> MakeNaiveConstraintFolds(
     const ConstraintSet& constraints, const FoldConfig& config, Rng* rng);
 

@@ -10,9 +10,9 @@
 /// internal quality score CVCP maximizes.
 ///
 /// Noise objects are singletons, so any pair touching noise is classified
-/// "not together" (DESIGN.md §6). A class with no constraints in the test
-/// fold is excluded from the average; if both classes are empty the score
-/// is NaN and the fold is skipped by the CV driver.
+/// "not together" (cluster/clustering.h). A class with no constraints in
+/// the test fold is excluded from the average; if both classes are empty
+/// the score is NaN and the fold is skipped by the CV driver.
 
 #include "cluster/clustering.h"
 #include "constraints/constraint_set.h"

@@ -7,7 +7,9 @@
 /// gene-expression set are not available offline; each generator below
 /// matches its original's object count, dimensionality, class structure
 /// and — most importantly — the *clusterability regime* that drives the
-/// paper's results (see DESIGN.md §5 for the substitution rationale).
+/// paper's results: whether CVCP's internal scores track external quality
+/// depends on that regime, so a stand-in that reproduces it exercises the
+/// same behavior.
 /// Iris is genuine (iris.h).
 
 #include <cstdint>

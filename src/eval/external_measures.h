@@ -15,7 +15,7 @@
 /// in the constraints given as input").
 ///
 /// Noise convention: a noise object counts as its own singleton cluster
-/// (DESIGN.md §6) — it can never be "paired" with anything.
+/// (cluster/clustering.h) — it can never be "paired" with anything.
 
 #include <vector>
 

@@ -5,13 +5,17 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/dataset_cache.h"
 #include "data/generators.h"
 #include "data/paper_suites.h"
+#include "harness/catalog.h"
 #include "harness/experiment.h"
 #include "harness/options.h"
 
@@ -191,6 +195,30 @@ TEST(RunAloiExperimentTest, PoolsAcrossCollection) {
   EXPECT_LE(agg.significant_vs_expected, 3);
 }
 
+TEST(SelectCacheTest, PoolThenPrivateCacheThenNone) {
+  Dataset data = MakeAloiK5Like(1, 0);
+  TrialSpec spec = LabelSpec();
+  spec.distance_storage = DistanceStorage::kF32;
+  std::optional<DatasetCache> local;
+
+  // Private cache: keeps the spec's storage mode.
+  DatasetCache* cache = SelectCache(spec, data, &local);
+  ASSERT_TRUE(local.has_value());
+  EXPECT_EQ(cache, &*local);
+  EXPECT_EQ(cache->storage(), DistanceStorage::kF32);
+
+  // A run-wide pool takes precedence and leaves `local` alone.
+  DatasetCachePool pool(1 << 20);
+  spec.cache_pool = &pool;
+  local.reset();
+  EXPECT_EQ(SelectCache(spec, data, &local), pool.For(data.points()));
+  EXPECT_FALSE(local.has_value());
+
+  spec.use_cache = false;
+  EXPECT_EQ(SelectCache(spec, data, &local), nullptr);
+  EXPECT_FALSE(local.has_value());
+}
+
 TEST(BenchOptionsTest, FlagsOverrideDefaults) {
   const char* argv[] = {"bench", "--trials", "7", "--aloi", "3",
                         "--folds", "4", "--seed", "123"};
@@ -281,6 +309,118 @@ TEST(BenchOptionsTest, FlagErrorPrintsUsageAndExitsTwo) {
   EXPECT_EXIT(ParseBenchOptions(3, const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2),
               "unknown flag --scheduler\nusage: bench \\[--paper\\]");
+}
+
+std::vector<std::string> CatalogNames() {
+  std::vector<std::string> names;
+  for (const BenchEntry& entry : BenchCatalog()) names.push_back(entry.name);
+  return names;
+}
+
+/// Contents of a file under the source tree.
+std::string ReadSourceFile(const std::string& relative_path) {
+  std::ifstream in(std::string(CVCP_SOURCE_DIR) + "/" + relative_path);
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  return contents.str();
+}
+
+TEST(BenchCatalogTest, NamesCoverThePaperAndAblations) {
+  const std::vector<std::string> expected = {
+      "table01", "table02", "table03", "table04", "table05", "table06",
+      "table07", "table08", "table09", "table10", "table11", "table12",
+      "table13", "table14", "table15", "table16", "fig05", "fig06",
+      "fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
+      "ablation_copkmeans", "ablation_folds", "ablation_leakage",
+      "ablation_metric", "ablation_noise", "ablation_protocols"};
+  EXPECT_EQ(CatalogNames(), expected);
+}
+
+TEST(BenchCatalogTest, FindBenchEntryLooksUpByName) {
+  EXPECT_EQ(FindBenchEntry("nope"), nullptr);
+  EXPECT_EQ(FindBenchEntry(""), nullptr);
+  const BenchEntry* entry = FindBenchEntry("table05");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_STREQ(entry->name, "table05");
+  EXPECT_STREQ(entry->paper_ref, "Table 5");
+}
+
+TEST(BenchCatalogTest, RowsAreWellFormed) {
+  for (const BenchEntry& entry : BenchCatalog()) {
+    SCOPED_TRACE(entry.name);
+    if (entry.run != nullptr) {
+      EXPECT_TRUE(entry.levels.empty());
+      continue;
+    }
+    // A paper row's title is its caption, which names the paper artifact.
+    EXPECT_EQ(std::string(entry.title).rfind(std::string(entry.paper_ref) +
+                                                 ": ",
+                                             0),
+              0u);
+    const bool one_level = entry.figure == PaperFigure::kPerformance ||
+                           entry.figure == PaperFigure::kCurve;
+    EXPECT_EQ(entry.levels.size(), one_level ? 1u : 3u);
+  }
+}
+
+TEST(BenchCommandTest, ParsesEntryAndFlags) {
+  const char* argv[] = {"cvcp_bench", "fig09", "--trials", "3"};
+  const BenchCommand command =
+      ParseBenchCommand(4, const_cast<char**>(argv));
+  ASSERT_NE(command.entry, nullptr);
+  EXPECT_STREQ(command.entry->name, "fig09");
+  EXPECT_EQ(command.options.trials, 3);
+}
+
+TEST(BenchCommandTest, MissingEntryPrintsUsageAndExitsTwo) {
+  const char* argv[] = {"cvcp_bench"};
+  EXPECT_EXIT(ParseBenchCommand(1, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "cvcp_bench: missing entry\nusage: cvcp_bench <entry> "
+              "\\[--paper\\].*\nentries: table01 table02 .* "
+              "ablation_protocols\n");
+}
+
+TEST(BenchCommandTest, UnknownEntryPrintsUsageAndExitsTwo) {
+  const char* argv[] = {"cvcp_bench", "nope", "--trials", "3"};
+  EXPECT_EXIT(ParseBenchCommand(4, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "cvcp_bench: unknown entry 'nope'\nusage: cvcp_bench <entry> "
+              "\\[--paper\\].*\nentries: table01 ");
+}
+
+TEST(BenchCommandTest, FlagErrorNamesTheEntryAndExitsTwo) {
+  const char* argv[] = {"cvcp_bench", "table05", "--threads", "4x"};
+  EXPECT_EXIT(ParseBenchCommand(4, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "cvcp_bench table05: malformed value '4x' for flag "
+              "--threads\nusage: cvcp_bench table05 \\[--paper\\]");
+}
+
+TEST(BenchCatalogTest, DocsListEveryEntry) {
+  const std::string docs = ReadSourceFile("docs/benchmarks.md");
+  ASSERT_FALSE(docs.empty());
+  for (const std::string& name : CatalogNames()) {
+    EXPECT_NE(docs.find("`cvcp_bench " + name + "`"), std::string::npos)
+        << name;
+  }
+  // The per-table binaries cvcp_bench replaced must not be documented.
+  for (const char* kind : {"table", "fig", "ablation"}) {
+    const std::string old_name = std::string("bench_") + kind;
+    EXPECT_EQ(docs.find(old_name), std::string::npos) << old_name;
+  }
+}
+
+TEST(BenchCatalogTest, GoldenManifestPinsEveryEntry) {
+  std::istringstream manifest(
+      ReadSourceFile("tests/golden/bench_stdout.sha256"));
+  std::vector<std::string> names;
+  std::string name, digest;
+  while (manifest >> name >> digest) {
+    names.push_back(name);
+    EXPECT_EQ(digest.size(), 64u) << name;
+  }
+  EXPECT_EQ(names, CatalogNames());
 }
 
 TEST(FormattersTest, MeanStdAndSigMarker) {
