@@ -8,12 +8,11 @@
 // per-dataset compute cache on the FOSC scenario (cache-on vs cache-off
 // with hit counts and per-stage wall time) —
 // plus the distance-matrix build table (tiled build vs a per-pair loop
-// over the portable fixed-lane kernels) and the f32-vs-f64 CVCP
-// selection-agreement ablation, both written to BENCH_distance.json.
+// over the portable fixed-lane kernels).
 //
 // Unlike the paper benches, this binary takes google-benchmark flags; the
 // few engine options it supports (--threads N, --cache-table-only,
-// --store DIR, --json PATH, --distance-json PATH) are stripped from argv
+// --store DIR, --json PATH) are stripped from argv
 // before benchmark::Initialize. --store DIR adds store-cold / store-warm
 // rows to the cache table (the warm row must serve every OPTICS model
 // from disk). Every table row is mirrored into a machine-readable
@@ -77,35 +76,6 @@ bool g_determinism_ok = true;
 std::vector<std::string> g_json_rows;
 
 void AddJsonRow(std::string row) { g_json_rows.push_back(std::move(row)); }
-
-// Rows of the distance-build and f32-ablation tables, written only to
-// the standalone BENCH_distance.json (--distance-json PATH).
-std::vector<std::string> g_distance_rows;
-
-void AddDistanceRow(std::string row) {
-  g_distance_rows.push_back(std::move(row));
-}
-
-void WriteDistanceJsonReport(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot write JSON report %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(file,
-               "{\n  \"bench\": \"bench_micro/distance\",\n"
-               "  \"arch\": \"%s\",\n"
-               "  \"determinism_ok\": %s,\n  \"rows\": [\n",
-               DistanceKernelArch(), g_determinism_ok ? "true" : "false");
-  for (size_t i = 0; i < g_distance_rows.size(); ++i) {
-    std::fprintf(file, "    %s%s\n", g_distance_rows[i].c_str(),
-                 i + 1 < g_distance_rows.size() ? "," : "");
-  }
-  std::fprintf(file, "  ]\n}\n");
-  std::fclose(file);
-  std::printf("wrote %zu JSON rows to %s\n", g_distance_rows.size(),
-              path.c_str());
-}
 
 void WriteJsonReport(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "w");
@@ -569,8 +539,7 @@ void PrintTrialScalingTable() {
 // Distance-matrix build on a 64-dimensional blob set, against a
 // bench-local baseline: a serial per-pair row sweep over the portable
 // fixed-lane kernels (no SIMD, no tiling). Every library build must
-// reproduce that baseline bit for bit — at 1 and 8 threads — and the f32
-// build must hold exactly float(baseline) in every slot. Any check
+// reproduce that baseline bit for bit, at 1 and 8 threads. Any check
 // failure flips the process exit code via g_determinism_ok, like the
 // other tables.
 void PrintDistanceKernelTable() {
@@ -617,121 +586,41 @@ void PrintDistanceKernelTable() {
   });
 
   auto same_as_baseline = [&](const DistanceMatrix& m) {
-    const bool f32 = m.storage() == DistanceStorage::kF32;
-    const size_t size = f32 ? m.condensed32().size() : m.condensed().size();
-    if (size != baseline.size()) return false;
-    for (size_t i = 0; i < size; ++i) {
-      const bool equal =
-          f32 ? std::bit_cast<uint32_t>(m.condensed32()[i]) ==
-                    std::bit_cast<uint32_t>(NarrowToF32(baseline[i]))
-              : BitsEqual(m.condensed()[i], baseline[i]);
-      if (!equal) return false;
+    const std::vector<double>& values = m.condensed();
+    if (values.size() != baseline.size()) return false;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (!BitsEqual(values[i], baseline[i])) return false;
     }
     return true;
   };
 
   auto emit = [&](const char* label, const char* kernel, bool tiled,
-                  DistanceStorage storage, int threads, double ms,
-                  const char* values, bool values_ok) {
+                  int threads, double ms, const char* values,
+                  bool values_ok) {
     const double speedup = ms_baseline / ms;
     std::printf("%-24s %10.2f %8.2fx  %s\n", label, ms, speedup, values);
-    AddDistanceRow(Format(
+    AddJsonRow(Format(
         "{\"table\": \"distance_build\", \"config\": \"%s\", "
-        "\"kernel\": \"%s\", \"tiled\": %s, \"storage\": \"%s\", "
+        "\"arch\": \"%s\", \"kernel\": \"%s\", \"tiled\": %s, "
         "\"threads\": %d, \"n\": %zu, \"dims\": %zu, \"wall_ms\": %.4f, "
         "\"speedup\": %.3f, \"values_ok\": %s}",
-        label, kernel, tiled ? "true" : "false", DistanceStorageName(storage),
+        label, DistanceKernelArch(), kernel, tiled ? "true" : "false",
         threads, n, d, ms, speedup, values_ok ? "true" : "false"));
   };
-  emit("portable-per-pair", "fixed-lane-portable", false,
-       DistanceStorage::kF64, 1, ms_baseline, "(baseline)", true);
-  struct Row {
-    const char* label;
-    int threads;
-    DistanceStorage storage;
-    const char* ok_text;
-  };
-  const Row rows[] = {
-      {"tiled", 1, DistanceStorage::kF64, "bitwise == baseline"},
-      {"tiled", 8, DistanceStorage::kF64, "bitwise == baseline"},
-      {"tiled-f32", 1, DistanceStorage::kF32, "== float(baseline) exactly"},
-  };
-  for (const Row& row : rows) {
+  emit("portable-per-pair", "fixed-lane-portable", false, 1, ms_baseline,
+       "(baseline)", true);
+  for (const int threads : {1, 8}) {
     ExecutionContext exec;
-    exec.threads = row.threads;
+    exec.threads = threads;
     DistanceMatrix m;
-    const double ms = time_best(
-        [&] { m = DistanceMatrix::Compute(pts, metric, exec, row.storage); });
+    const double ms =
+        time_best([&] { m = DistanceMatrix::Compute(pts, metric, exec); });
     const bool ok = same_as_baseline(m);
     if (!ok) g_determinism_ok = false;
-    emit(row.label, DistanceKernelArch(), true, row.storage, row.threads, ms,
-         ok ? row.ok_text : "NO — BUILD CHANGED VALUES", ok);
+    emit("tiled", DistanceKernelArch(), true, threads, ms,
+         ok ? "bitwise == baseline" : "NO — BUILD CHANGED VALUES", ok);
   }
   std::printf("\n");
-}
-
-// Does float32 distance storage change what CVCP *selects*? Runs the
-// FOSC-OPTICSDend sweep (the algorithm whose entire pipeline sits on the
-// cached matrix) on several blob datasets, once with an f64-storage cache
-// and once with f32, and reports selection agreement plus the largest
-// best-score drift. Informational: rounding-induced drift here is
-// expected and bounded, not a determinism bug — within a storage mode
-// results stay bitwise-reproducible.
-void PrintStorageAblationTable() {
-  FoscOpticsDendClusterer clusterer;
-  CvcpConfig config;
-  config.cv.n_folds = 5;
-  config.param_grid = {3, 4, 5, 6, 7, 8};
-  constexpr int kDatasets = 5;
-
-  std::printf(
-      "=== f32 vs f64 distance storage: CVCP selection agreement "
-      "(FOSC-OPTICSDend, %d-fold x %zu-value MinPts grid, %d datasets) "
-      "===\n",
-      config.cv.n_folds, config.param_grid.size(), kDatasets);
-  std::printf("%-10s %10s %10s %8s %14s\n", "dataset", "pick(f64)",
-              "pick(f32)", "agree", "|score drift|");
-
-  int agreements = 0;
-  double max_drift = 0.0;
-  for (int d = 0; d < kDatasets; ++d) {
-    Rng rng(100 + d);
-    Dataset data = MakeBlobs(Format("abl%d", d), /*k=*/4, /*per_cluster=*/30,
-                             /*dims=*/16, 10.0, 1.0, &rng);
-    auto pool = BuildConstraintPool(data, 0.25, &rng);
-    CVCP_CHECK(pool.ok());
-    auto sampled = SampleConstraints(pool.value(), 0.5, &rng);
-    CVCP_CHECK(sampled.ok());
-    Supervision supervision =
-        Supervision::FromConstraints(std::move(sampled).value());
-    int best[2] = {0, 0};
-    double score[2] = {0.0, 0.0};
-    for (int s = 0; s < 2; ++s) {
-      DatasetCache cache(
-          data.points(),
-          DatasetCacheTiers{nullptr, nullptr,
-                            s == 0 ? DistanceStorage::kF64
-                                   : DistanceStorage::kF32});
-      Rng run_rng(71);
-      auto report = RunCvcp(data, supervision, clusterer, config, &run_rng,
-                            &cache);
-      CVCP_CHECK(report.ok());
-      best[s] = report->best_param;
-      score[s] = report->best_score;
-    }
-    const bool agree = best[0] == best[1];
-    agreements += agree ? 1 : 0;
-    const double drift = std::abs(score[0] - score[1]);
-    max_drift = std::max(max_drift, drift);
-    std::printf("%-10d %10d %10d %8s %14.3e\n", d, best[0], best[1],
-                agree ? "yes" : "no", drift);
-  }
-  std::printf("selection agreement: %d/%d, max |best-score drift| %.3e\n\n",
-              agreements, kDatasets, max_drift);
-  AddDistanceRow(Format(
-      "{\"table\": \"f32_ablation\", \"datasets\": %d, \"agreements\": %d, "
-      "\"max_best_score_drift\": %.6e}",
-      kDatasets, agreements, max_drift));
 }
 
 // This binary's own flags, stripped from argv before google-benchmark
@@ -741,10 +630,6 @@ struct MicroOptions {
   bool cache_table_only = false;  // print the cache table and exit (CI smoke)
   std::string store_dir;  // artifact store dir: store-cold/warm cache rows
   std::string json_path = "BENCH_micro.json";  // "" (via --json '') disables
-  // Standalone report for the distance-build + f32-ablation rows
-  // (--distance-json PATH; '' disables). Skipped in --cache-table-only
-  // mode, which doesn't run those tables.
-  std::string distance_json_path = "BENCH_distance.json";
 };
 
 MicroOptions StripMicroOptions(int* argc, char** argv) {
@@ -759,8 +644,6 @@ MicroOptions StripMicroOptions(int* argc, char** argv) {
       o.store_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < *argc) {
       o.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--distance-json") == 0 && i + 1 < *argc) {
-      o.distance_json_path = argv[++i];
     } else {
       argv[out++] = argv[i];
     }
@@ -786,14 +669,10 @@ int main(int argc, char** argv) {
     return g_determinism_ok ? 0 : 1;
   }
   PrintDistanceKernelTable();
-  PrintStorageAblationTable();
   PrintCvcpScalingTable();
   PrintTrialScalingTable();
   PrintFoscCacheTable(table_threads, options.store_dir);
   if (!options.json_path.empty()) WriteJsonReport(options.json_path);
-  if (!options.distance_json_path.empty()) {
-    WriteDistanceJsonReport(options.distance_json_path);
-  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // Nonzero on any "NO — DETERMINISM BUG" row so the CI smoke steps fail

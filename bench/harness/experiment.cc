@@ -223,8 +223,7 @@ DatasetCache* SelectCache(const TrialSpec& spec, const Dataset& data,
                           std::optional<DatasetCache>* local) {
   if (!spec.use_cache) return nullptr;
   if (spec.cache_pool != nullptr) return spec.cache_pool->For(data.points());
-  local->emplace(data.points(),
-                 DatasetCacheTiers{nullptr, nullptr, spec.distance_storage});
+  local->emplace(data.points());
   return &**local;
 }
 

@@ -55,12 +55,6 @@ struct TrialSpec {
   /// trials > CVCP grid×fold cells / full-supervision sweep); any thread
   /// count yields identical results.
   ExecutionContext exec;
-  /// Condensed distance-matrix storage for the caches this experiment
-  /// creates (a run-wide `cache_pool` brings its own mode and ignores
-  /// this). kF32 halves the matrix bytes but rounds each stored distance
-  /// once, so downstream scores may differ in the last ulps — the f32
-  /// ablation in bench_micro measures whether CVCP's *selections* move.
-  DistanceStorage distance_storage = DistanceStorage::kF64;
   /// Share supervision-independent per-dataset structures (distance
   /// matrix, OPTICS models) across all folds, grid values, and trials via
   /// a per-dataset DatasetCache (core/dataset_cache.h). Results are
@@ -109,8 +103,8 @@ TrialResult RunTrial(const Dataset& data,
 
 /// The compute cache an experiment on `data` runs against: the run-wide
 /// `spec.cache_pool`'s cache for the dataset when set, else a private
-/// cache in `spec.distance_storage`, emplaced into `*local`; null when
-/// `spec.use_cache` is off. Results are byte-identical for all three.
+/// cache emplaced into `*local`; null when `spec.use_cache` is off.
+/// Results are byte-identical for all three.
 DatasetCache* SelectCache(const TrialSpec& spec, const Dataset& data,
                           std::optional<DatasetCache>* local);
 

@@ -71,8 +71,6 @@ Result<BenchOptions> TryParseBenchOptions(int argc, char** argv) {
     o.store_dir = v;
   }
   ParseInt(std::getenv("CVCP_STORE_CAPACITY_MB"), &o.store_capacity_mb);
-  ParseDistanceStorage(std::getenv("CVCP_DISTANCE_STORAGE"),
-                       &o.distance_storage);
 
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
@@ -91,8 +89,7 @@ Result<BenchOptions> TryParseBenchOptions(int argc, char** argv) {
                        : flag == "--seed" ? &seed
                                           : nullptr;
     const bool known = int_field != nullptr || long_field != nullptr ||
-                       flag == "--cache" || flag == "--store" ||
-                       flag == "--distance-storage";
+                       flag == "--cache" || flag == "--store";
     if (!known) {
       return Status::InvalidArgument(Format("unknown flag %s", argv[i]));
     }
@@ -108,10 +105,8 @@ Result<BenchOptions> TryParseBenchOptions(int argc, char** argv) {
       parsed = ParseLong(value, long_field);
     } else if (flag == "--cache") {
       parsed = ParseOnOff(value, &o.cache);
-    } else if (flag == "--store") {
-      o.store_dir = value;
     } else {
-      parsed = ParseDistanceStorage(value, &o.distance_storage);
+      o.store_dir = value;
     }
     if (!parsed) {
       return Status::InvalidArgument(
@@ -149,11 +144,10 @@ void PrintBanner(const BenchOptions& options, const std::string& title,
   }
   std::printf(
       "scale: %d trials, %zu ALOI sets, %d-fold CV, seed %llu, %s, "
-      "cache %s, %s distances (--paper for full scale)\n\n",
+      "cache %s (--paper for full scale)\n\n",
       options.trials, options.aloi_datasets, options.n_folds,
       static_cast<unsigned long long>(options.seed), threads,
-      options.cache ? "on" : "off",
-      DistanceStorageName(options.distance_storage));
+      options.cache ? "on" : "off");
 }
 
 }  // namespace cvcp::bench

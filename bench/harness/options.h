@@ -44,26 +44,19 @@ struct BenchOptions {
   /// reloaded or recomputed (env CVCP_STORE_CAPACITY_MB,
   /// flag `--store-capacity-mb N`).
   int store_capacity_mb = 256;
-  /// Condensed distance-matrix storage: "f64" (default, bit-exact) or
-  /// "f32" (half the bytes; distances are computed in f64 and rounded
-  /// once on store). f32 runs keep their artifacts in a disjoint key
-  /// space, so mixed-mode store directories never cross-serve
-  /// (env CVCP_DISTANCE_STORAGE, flag `--distance-storage`).
-  DistanceStorage distance_storage = DistanceStorage::kF64;
 };
 
 /// The flags TryParseBenchOptions accepts, as printed on a usage line.
 inline constexpr char kBenchUsage[] =
     "[--paper] [--trials N] [--aloi N] [--folds N] [--seed N] "
-    "[--threads N] [--cache on|off] [--store DIR] [--store-capacity-mb N] "
-    "[--distance-storage f64|f32]";
+    "[--threads N] [--cache on|off] [--store DIR] [--store-capacity-mb N]";
 
 /// Parses env vars, then the flags (flags win): `--paper` /
 /// `--trials N` / `--aloi N` / `--folds N` / `--seed N` / `--threads N` /
-/// `--cache on|off` / `--store DIR` / `--store-capacity-mb N` /
-/// `--distance-storage f64|f32`. Errors with kInvalidArgument, naming the
-/// argument, on an unknown flag, a flag without its value, or a malformed
-/// value (numbers must be whole base-10 integers that fit the field).
+/// `--cache on|off` / `--store DIR` / `--store-capacity-mb N`. Errors with
+/// kInvalidArgument, naming the argument, on an unknown flag, a flag
+/// without its value, or a malformed value (numbers must be whole base-10
+/// integers that fit the field).
 /// Malformed env values keep the default.
 Result<BenchOptions> TryParseBenchOptions(int argc, char** argv);
 

@@ -28,7 +28,6 @@ TrialSpec SpecFor(const PaperBenchContext& ctx, BenchAlgo algo,
   spec.grid = GridFor(algo, num_classes);
   spec.with_silhouette = algo != BenchAlgo::kFosc;
   spec.exec.threads = ctx.options.threads;
-  spec.distance_storage = ctx.options.distance_storage;
   spec.use_cache = ctx.options.cache;
   spec.cache_pool = ctx.cache_pool.get();
   return spec;
@@ -52,7 +51,7 @@ PaperBenchContext MakeContext(const BenchOptions& options) {
   }
   ctx.cache_pool = std::make_unique<DatasetCachePool>(
       static_cast<size_t>(options.store_capacity_mb) * 1024 * 1024,
-      ctx.store.get(), options.distance_storage);
+      ctx.store.get());
   return ctx;
 }
 

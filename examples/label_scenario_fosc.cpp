@@ -39,7 +39,8 @@ int main() {
   // --- Peek at one CV split to see the sound fold construction. ---
   {
     cvcp::Rng peek_rng(1);
-    auto folds = cvcp::MakeSupervisionFolds(iris, supervision, {.n_folds = 5},
+    auto folds = cvcp::MakeSupervisionFolds(iris, supervision,
+                                            {.n_folds = 5, .exec = {}},
                                             &peek_rng);
     if (folds.ok()) {
       const cvcp::FoldSplit& f = folds->front();

@@ -52,14 +52,14 @@ namespace cvcp {
 enum class ArtifactKind : uint32_t {
   kDistanceMatrix = 1,      ///< condensed distances, f64 payload
   kOpticsModel = 2,
-  // 3 is retired (measured cell timings, no longer written). Never reuse
-  // it: old store directories may still hold such files, which List
-  // reports as "unknown" and Purge removes.
-  kDistanceMatrixF32 = 4,   ///< condensed distances, f32 payload
+  // 3 (measured cell timings) and 4 (condensed distances with an f32
+  // payload) are retired and no longer written. Never reuse them: old
+  // store directories may still hold such files, which List reports as
+  // "unknown" and Purge removes.
 };
 
-/// Stable display name for a kind ("distances", "optics",
-/// "distances-f32"; "unknown" for any other value).
+/// Stable display name for a kind ("distances", "optics"; "unknown" for
+/// any other value).
 const char* ArtifactKindName(ArtifactKind kind);
 
 /// Content hash of a point matrix: dims + every coordinate's bit
@@ -75,28 +75,15 @@ std::string EncodeDistanceMatrix(uint64_t dataset_hash, Metric metric,
 Result<DistanceMatrix> DecodeDistanceMatrix(std::string bytes,
                                             uint64_t dataset_hash,
                                             Metric metric);
-/// float32-storage variant: a distinct block kind (kDistanceMatrixF32)
-/// with an f32 payload. The f64 encoding above is untouched — mixed-mode
-/// store directories can never serve one mode's bytes for the other
-/// (distinct kind AND distinct filename).
-std::string EncodeDistanceMatrix32(uint64_t dataset_hash, Metric metric,
-                                   const DistanceMatrix& matrix);
-Result<DistanceMatrix> DecodeDistanceMatrix32(std::string bytes,
-                                              uint64_t dataset_hash,
-                                              Metric metric);
-/// Optics blocks share one kind for both storage modes; an f32-derived
-/// model carries a trailing u32 marker record (=1) and an "-f32" filename,
-/// while the f64 encoding stays byte-identical to what earlier versions
-/// wrote (its decoder requires zero trailing records, so neither mode can
-/// decode as the other).
+/// The optics decoder refuses blocks with trailing records: they are not
+/// what the encoder writes (older versions appended one to models kept
+/// under a different filename), so such bytes reached by a rename are a
+/// corrupt miss.
 std::string EncodeOpticsModel(uint64_t dataset_hash, Metric metric,
-                              int min_pts, const OpticsResult& optics,
-                              DistanceStorage storage = DistanceStorage::kF64);
+                              int min_pts, const OpticsResult& optics);
 Result<OpticsResult> DecodeOpticsModel(std::string bytes,
                                        uint64_t dataset_hash, Metric metric,
-                                       int min_pts,
-                                       DistanceStorage storage =
-                                           DistanceStorage::kF64);
+                                       int min_pts);
 
 /// One file of a store directory, as seen by `List` (tools/store_inspect).
 struct ArtifactFileInfo {
@@ -106,9 +93,6 @@ struct ArtifactFileInfo {
   uint32_t kind = 0;
   bool valid = false;   ///< full frame validation passed
   std::string detail;   ///< error text when !valid
-  /// Distance storage mode decoded from the payload ("f64" or "f32";
-  /// empty for kinds that carry no distances).
-  std::string storage;
   /// Human-readable decoded key fields, e.g.
   /// "hash=41c3... metric=euc mp=005". Empty when the payload is
   /// undecodable.
@@ -140,12 +124,7 @@ class ArtifactStore {
   /// kNotFound (cold key), kCorruption (damaged bytes, key mismatch),
   /// kFailedPrecondition (format-version skew) — all counted and all
   /// meaning "recompute".
-  /// `storage` selects which of the two disjoint artifact families is
-  /// addressed; the key (filename and block kind) differs per mode, so a
-  /// mixed-mode directory never serves cross-mode bytes.
-  Result<DistanceMatrix> LoadDistances(uint64_t dataset_hash, Metric metric,
-                                       DistanceStorage storage =
-                                           DistanceStorage::kF64);
+  Result<DistanceMatrix> LoadDistances(uint64_t dataset_hash, Metric metric);
   Status SaveDistances(uint64_t dataset_hash, Metric metric,
                        const DistanceMatrix& matrix);
 
@@ -155,12 +134,9 @@ class ArtifactStore {
   /// (Dendrogram::FromReachability), so the reader rebuilds it and the
   /// bytes stay minimal.
   Result<OpticsResult> LoadOpticsModel(uint64_t dataset_hash, Metric metric,
-                                       int min_pts,
-                                       DistanceStorage storage =
-                                           DistanceStorage::kF64);
+                                       int min_pts);
   Status SaveOpticsModel(uint64_t dataset_hash, Metric metric, int min_pts,
-                         const OpticsResult& optics,
-                         DistanceStorage storage = DistanceStorage::kF64);
+                         const OpticsResult& optics);
 
   /// Every `*.cvcp` file in the directory with its validation outcome.
   /// An absent directory lists as empty (a store is born lazily).

@@ -23,6 +23,7 @@
 #include "common/hash.h"
 #include "common/matrix.h"
 #include "common/parallel.h"
+#include "common/strings.h"
 
 namespace cvcp {
 namespace {
@@ -64,6 +65,22 @@ std::string OnlyFile(const std::string& dir) {
   }
   EXPECT_FALSE(found.empty());
   return found;
+}
+
+// An optics block of the live kind whose arrays are followed by one more
+// u32 record, as older versions wrote for models kept under an
+// "-optics-f32.cvcp" filename.
+std::string OpticsBlockWithTrailingRecord(uint64_t hash, int min_pts) {
+  const OpticsResult optics = FixtureOptics();
+  BlockBuilder builder(static_cast<uint32_t>(ArtifactKind::kOpticsModel));
+  builder.AppendU64(hash);
+  builder.AppendU32(static_cast<uint32_t>(Metric::kEuclidean));
+  builder.AppendU32(static_cast<uint32_t>(min_pts));
+  builder.AppendSizes(optics.order);
+  builder.AppendDoubles(optics.reachability);
+  builder.AppendDoubles(optics.core_distance);
+  builder.AppendU32(1);
+  return builder.Finish();
 }
 
 TEST(ArtifactStoreTest, DistanceMatrixRoundTripsBitExact) {
@@ -232,192 +249,110 @@ TEST(ArtifactStoreTest, ListReportsKindsAndValidity) {
   ArtifactStore store(dir);
   const Matrix points = FixturePoints();
   const uint64_t hash = HashMatrixContent(points);
-  ASSERT_TRUE(store
-                  .SaveDistances(hash, Metric::kEuclidean,
-                                 DistanceMatrix::Compute(points,
-                                                         Metric::kEuclidean))
-                  .ok());
+  const DistanceMatrix dm = DistanceMatrix::Compute(points, Metric::kEuclidean);
+  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
   ASSERT_TRUE(
       store.SaveOpticsModel(hash, Metric::kEuclidean, 4, FixtureOptics())
           .ok());
-  // A block of the retired kind 3 (cell timings), as an older store
-  // directory may still hold: a valid frame of a kind this build no
-  // longer knows.
-  BlockBuilder retired(3);
-  retired.AppendU64(hash);
-  retired.AppendString("t");
-  {
-    std::ofstream out(fs::path(dir) / "0000000000000063-t-timings.cvcp",
-                      std::ios::binary);
-    out << retired.Finish();
-  }
+  const std::string prefix = Format(
+      "%016llx-euc", static_cast<unsigned long long>(hash));
+  auto write_raw = [&](const std::string& name, const std::string& bytes) {
+    std::ofstream out(fs::path(dir) / name, std::ios::binary);
+    out << bytes;
+  };
+  // Blocks of the retired kinds 3 (cell timings) and 4 (f32 distances),
+  // as an older store directory may still hold: valid frames of kinds
+  // this build no longer knows.
+  BlockBuilder retired_timings(3);
+  retired_timings.AppendU64(hash);
+  retired_timings.AppendString("t");
+  write_raw("0000000000000063-t-timings.cvcp", retired_timings.Finish());
+  BlockBuilder retired_f32(4);
+  retired_f32.AppendU64(hash);
+  retired_f32.AppendU32(static_cast<uint32_t>(Metric::kEuclidean));
+  retired_f32.AppendU64(points.rows());
+  const std::vector<std::byte> floats(dm.condensed().size() * 4);
+  retired_f32.AppendRecord(floats);
+  write_raw(prefix + "-dist-f32.cvcp", retired_f32.Finish());
   // Damage the optics file so List flags exactly one invalid entry.
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().string().find("optics") == std::string::npos) continue;
     fs::resize_file(entry.path(), fs::file_size(entry.path()) - 1);
   }
+  // An f32-derived optics model of an older version: the live kind with
+  // a trailing record, under a name no key produces any more.
+  write_raw(prefix + "-mp004-optics-f32.cvcp",
+            OpticsBlockWithTrailingRecord(hash, 4));
 
   auto listed = store.List();
   ASSERT_TRUE(listed.ok());
-  ASSERT_EQ(listed->size(), 3u);
+  ASSERT_EQ(listed->size(), 5u);
   size_t valid = 0;
   size_t unknown = 0;
   for (const ArtifactFileInfo& file : *listed) {
     EXPECT_GT(file.bytes, 0u);
-    if (file.kind == 3) {
+    if (file.kind == 3 || file.kind == 4) {
       ++unknown;
       EXPECT_TRUE(file.valid) << file.detail;
       EXPECT_STREQ(ArtifactKindName(static_cast<ArtifactKind>(file.kind)),
                    "unknown");
       EXPECT_TRUE(file.decoded_key.empty());
     }
+    if (file.filename.find("-optics-f32.cvcp") != std::string::npos) {
+      EXPECT_TRUE(file.valid) << file.detail;
+      EXPECT_EQ(file.kind, static_cast<uint32_t>(ArtifactKind::kOpticsModel));
+      EXPECT_FALSE(file.decoded_key.empty());
+    }
     if (file.valid) {
       ++valid;
     } else {
+      EXPECT_EQ(file.filename.find("-f32"), std::string::npos);
       EXPECT_EQ(file.kind,
                 static_cast<uint32_t>(ArtifactKind::kOpticsModel));
       EXPECT_FALSE(file.detail.empty());
     }
   }
-  EXPECT_EQ(valid, 2u);
-  EXPECT_EQ(unknown, 1u);
-  // The stray block does not disturb the keys this build does know.
-  EXPECT_TRUE(store.LoadDistances(hash, Metric::kEuclidean).ok());
+  EXPECT_EQ(valid, 4u);
+  EXPECT_EQ(unknown, 2u);
+  // The stray blocks do not disturb the keys this build does know: the
+  // distances still hit with the saved bits, and the damaged optics key
+  // is still a corrupt miss, never served from the "-f32" file.
+  auto distances = store.LoadDistances(hash, Metric::kEuclidean);
+  ASSERT_TRUE(distances.ok());
+  EXPECT_EQ(distances->condensed(), dm.condensed());
+  auto optics = store.LoadOpticsModel(hash, Metric::kEuclidean, 4);
+  ASSERT_FALSE(optics.ok());
+  EXPECT_EQ(optics.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.stats().disk_hits, 1u);
+  EXPECT_EQ(store.stats().corrupt_misses, 1u);
 
   auto purged = store.Purge();
   ASSERT_TRUE(purged.ok());
-  EXPECT_EQ(purged.value(), 3u);
+  EXPECT_EQ(purged.value(), 5u);
   auto after = store.List();
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after->empty());
 }
 
-TEST(ArtifactStoreTest, F32DistanceMatrixRoundTripsBitExact) {
-  ArtifactStore store(FreshDir("dist32"));
-  const Matrix points = FixturePoints();
-  const uint64_t hash = HashMatrixContent(points);
-  const DistanceMatrix dm = DistanceMatrix::Compute(
-      points, Metric::kEuclidean, {}, DistanceStorage::kF32);
-
-  // SaveDistances infers the family from the matrix's storage mode.
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, dm).ok());
-  auto loaded =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF32);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->storage(), DistanceStorage::kF32);
-  ASSERT_EQ(loaded->condensed32().size(), dm.condensed32().size());
-  for (size_t i = 0; i < dm.condensed32().size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint32_t>(loaded->condensed32()[i]),
-              std::bit_cast<uint32_t>(dm.condensed32()[i]));
-  }
-}
-
-TEST(ArtifactStoreTest, MixedModeDistancesAreDisjointFamilies) {
-  const std::string dir = FreshDir("mixed-dist");
-  ArtifactStore store(dir);
-  const Matrix points = FixturePoints();
-  const uint64_t hash = HashMatrixContent(points);
-  const DistanceMatrix f64 =
-      DistanceMatrix::Compute(points, Metric::kEuclidean);
-  const DistanceMatrix f32 = DistanceMatrix::Compute(
-      points, Metric::kEuclidean, {}, DistanceStorage::kF32);
-
-  // An f64 artifact must never satisfy an f32 request (and vice versa):
-  // the whole point of the split is that a warm mixed-mode directory
-  // cannot silently change a run's numerics.
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, f64).ok());
-  auto miss =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF32);
-  ASSERT_FALSE(miss.ok());
-  EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
-
-  ASSERT_TRUE(store.SaveDistances(hash, Metric::kEuclidean, f32).ok());
-  auto miss64_check =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF64);
-  ASSERT_TRUE(miss64_check.ok());  // the f64 artifact is still its own file
-  EXPECT_EQ(miss64_check->storage(), DistanceStorage::kF64);
-  auto hit32 =
-      store.LoadDistances(hash, Metric::kEuclidean, DistanceStorage::kF32);
-  ASSERT_TRUE(hit32.ok());
-  EXPECT_EQ(hit32->storage(), DistanceStorage::kF32);
-
-  // Two files, and List decodes the storage mode of each.
-  auto listed = store.List();
-  ASSERT_TRUE(listed.ok());
-  ASSERT_EQ(listed->size(), 2u);
-  size_t f32_count = 0;
-  for (const ArtifactFileInfo& file : *listed) {
-    EXPECT_TRUE(file.valid) << file.filename << ": " << file.detail;
-    EXPECT_TRUE(file.storage == "f32" || file.storage == "f64");
-    if (file.storage == "f32") {
-      ++f32_count;
-      EXPECT_NE(file.filename.find("-f32.cvcp"), std::string::npos);
-      EXPECT_EQ(file.kind,
-                static_cast<uint32_t>(ArtifactKind::kDistanceMatrixF32));
-    }
-    EXPECT_FALSE(file.decoded_key.empty());
-  }
-  EXPECT_EQ(f32_count, 1u);
-}
-
-TEST(ArtifactStoreTest, OpticsStorageModesAreKeyedApart) {
-  ArtifactStore store(FreshDir("optics32"));
-  const OpticsResult optics = FixtureOptics();
-  ASSERT_TRUE(store
-                  .SaveOpticsModel(21, Metric::kEuclidean, 4, optics,
-                                   DistanceStorage::kF32)
-                  .ok());
-  // The f64 key misses even though an f32 model for the same
-  // (hash, metric, min_pts) exists.
-  auto miss = store.LoadOpticsModel(21, Metric::kEuclidean, 4);
-  ASSERT_FALSE(miss.ok());
-  EXPECT_EQ(miss.status().code(), StatusCode::kNotFound);
-  auto hit = store.LoadOpticsModel(21, Metric::kEuclidean, 4,
-                                   DistanceStorage::kF32);
-  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
-  EXPECT_EQ(hit->order, optics.order);
-}
-
 TEST(ArtifactStoreTest, CrossModeRenamedOpticsIsRefused) {
   const std::string dir = FreshDir("cross-mode");
   ArtifactStore store(dir);
-  // Rename an f32-derived optics file onto the f64 name: the frame and
-  // CRC are intact, but the trailing storage marker must refuse the f64
-  // decode (remaining records after the arrays), and the reverse rename
-  // must fail the marker requirement. Never served, always a counted
-  // corrupt miss.
-  ASSERT_TRUE(store
-                  .SaveOpticsModel(22, Metric::kEuclidean, 4, FixtureOptics(),
-                                   DistanceStorage::kF32)
-                  .ok());
-  const std::string f32_file = OnlyFile(dir);
-  std::string f64_file = f32_file;
-  const size_t pos = f64_file.find("-f32.cvcp");
-  ASSERT_NE(pos, std::string::npos);
-  f64_file.replace(pos, 9, ".cvcp");
-  fs::rename(f32_file, f64_file);
-
-  auto as_f64 = store.LoadOpticsModel(22, Metric::kEuclidean, 4);
-  ASSERT_FALSE(as_f64.ok());
-  EXPECT_EQ(as_f64.status().code(), StatusCode::kCorruption);
-  EXPECT_EQ(store.stats().corrupt_misses, 1u);
-
-  // Reverse direction: a genuine f64 file renamed to the f32 name.
-  fs::remove(f64_file);
+  // Older versions appended a trailing record to some optics models and
+  // kept them under another filename. Such bytes renamed onto the live
+  // name have an intact frame and CRC, but the trailing record must
+  // refuse the decode: never served, always a counted corrupt miss.
   ASSERT_TRUE(
       store.SaveOpticsModel(22, Metric::kEuclidean, 4, FixtureOptics()).ok());
-  fs::rename(f64_file, f32_file);
-  auto as_f32 = store.LoadOpticsModel(22, Metric::kEuclidean, 4,
-                                      DistanceStorage::kF32);
-  ASSERT_FALSE(as_f32.ok());
-  EXPECT_EQ(as_f32.status().code(), StatusCode::kCorruption);
+  const std::string file = OnlyFile(dir);
+  {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << OpticsBlockWithTrailingRecord(22, 4);
+  }
 
-  // List flags the mismatch between filename suffix and payload marker.
-  auto listed = store.List();
-  ASSERT_TRUE(listed.ok());
-  ASSERT_EQ(listed->size(), 1u);
-  EXPECT_FALSE((*listed)[0].valid);
-  EXPECT_FALSE((*listed)[0].detail.empty());
+  auto loaded = store.LoadOpticsModel(22, Metric::kEuclidean, 4);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(store.stats().corrupt_misses, 1u);
 }
 
 TEST(ArtifactStoreTest, ListOnAbsentDirectoryIsEmpty) {

@@ -24,7 +24,8 @@ TEST(MakeSupervisionFoldsTest, DispatchesByKind) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision by_labels = Supervision::FromLabels(data, labeled.value());
-  auto folds_l = MakeSupervisionFolds(data, by_labels, {.n_folds = 4}, &rng);
+  auto folds_l = MakeSupervisionFolds(data, by_labels,
+                                      {.n_folds = 4, .exec = {}}, &rng);
   ASSERT_TRUE(folds_l.ok());
   EXPECT_EQ(folds_l->size(), 4u);
   EXPECT_FALSE((*folds_l)[0].train_labels.empty());
@@ -34,7 +35,8 @@ TEST(MakeSupervisionFoldsTest, DispatchesByKind) {
   ASSERT_TRUE(pool.ok());
   Supervision by_constraints = Supervision::FromConstraints(pool.value());
   auto folds_c =
-      MakeSupervisionFolds(data, by_constraints, {.n_folds = 4}, &rng);
+      MakeSupervisionFolds(data, by_constraints,
+                           {.n_folds = 4, .exec = {}}, &rng);
   ASSERT_TRUE(folds_c.ok());
   EXPECT_EQ(folds_c->size(), 4u);
   EXPECT_TRUE((*folds_c)[0].train_labels.empty());
@@ -46,7 +48,8 @@ TEST(ScoreParamOnFoldsTest, GoodParamScoresHighOnEasyData) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 5}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 5, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
 
   MpckMeansClusterer clusterer;
@@ -64,7 +67,8 @@ TEST(ScoreParamOnFoldsTest, BadParamScoresLower) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 5}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 5, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
 
   MpckMeansClusterer clusterer;
@@ -84,7 +88,8 @@ TEST(ScoreParamOnFoldsTest, DeterministicGivenSameRngSeed) {
   auto labeled = SampleLabeledObjects(data, 0.2, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 3}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 3, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
   MpckMeansClusterer clusterer;
   Rng a(7), b(7);
@@ -105,7 +110,7 @@ TEST(CrossValidateParamTest, EndToEndConstraintScenario) {
   Supervision supervision = Supervision::FromConstraints(pool.value());
   FoscOpticsDendClusterer clusterer;
   auto score = CrossValidateParam(data, supervision, clusterer, /*MinPts=*/4,
-                                  {.n_folds = 4}, &rng);
+                                  {.n_folds = 4, .exec = {}}, &rng);
   ASSERT_TRUE(score.ok());
   EXPECT_GE(score->valid_folds, 1);
   EXPECT_GT(score->mean_f, 0.5);
@@ -144,7 +149,8 @@ TEST(ScoreGridOnFoldsTest, MatchesPerParamScoringForEveryThreadCount) {
   auto labeled = SampleLabeledObjects(data, 0.3, &rng);
   ASSERT_TRUE(labeled.ok());
   Supervision supervision = Supervision::FromLabels(data, labeled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 4}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 4, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
   MpckMeansClusterer clusterer;
   const std::vector<int> grid = {2, 3, 5};
@@ -182,8 +188,8 @@ TEST(CrossValidateParamTest, TooFewObjectsForFoldsErrors) {
   Supervision supervision = Supervision::FromLabels(data, {0, 1, 2});
   MpckMeansClusterer clusterer;
   auto score =
-      CrossValidateParam(data, supervision, clusterer, 3, {.n_folds = 10},
-                         &rng);
+      CrossValidateParam(data, supervision, clusterer, 3,
+                         {.n_folds = 10, .exec = {}}, &rng);
   EXPECT_EQ(score.status().code(), StatusCode::kInvalidArgument);
 }
 

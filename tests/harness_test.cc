@@ -198,14 +198,13 @@ TEST(RunAloiExperimentTest, PoolsAcrossCollection) {
 TEST(SelectCacheTest, PoolThenPrivateCacheThenNone) {
   Dataset data = MakeAloiK5Like(1, 0);
   TrialSpec spec = LabelSpec();
-  spec.distance_storage = DistanceStorage::kF32;
   std::optional<DatasetCache> local;
 
-  // Private cache: keeps the spec's storage mode.
+  // No pool: a private cache over the dataset, emplaced into `local`.
   DatasetCache* cache = SelectCache(spec, data, &local);
   ASSERT_TRUE(local.has_value());
   EXPECT_EQ(cache, &*local);
-  EXPECT_EQ(cache->storage(), DistanceStorage::kF32);
+  EXPECT_EQ(&cache->points(), &data.points());
 
   // A run-wide pool takes precedence and leaves `local` alone.
   DatasetCachePool pool(1 << 20);
@@ -264,14 +263,12 @@ void ExpectRefused(std::vector<const char*> args, const std::string& culprit) {
 TEST(BenchOptionsTest, AcceptsEveryKnownFlag) {
   const Result<BenchOptions> parsed = TryParse(
       {"--threads", "3", "--cache", "off", "--store", "dir",
-       "--store-capacity-mb", "64", "--distance-storage", "f32", "--seed",
-       "-1"});
+       "--store-capacity-mb", "64", "--seed", "-1"});
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->threads, 3);
   EXPECT_FALSE(parsed->cache);
   EXPECT_EQ(parsed->store_dir, "dir");
   EXPECT_EQ(parsed->store_capacity_mb, 64);
-  EXPECT_EQ(parsed->distance_storage, DistanceStorage::kF32);
   EXPECT_EQ(parsed->seed, ~uint64_t{0});
 }
 
@@ -280,6 +277,7 @@ TEST(BenchOptionsTest, UnknownFlagsAreRefused) {
   ExpectRefused({"--scheduler", "split"}, "--scheduler");
   ExpectRefused({"--trial-threads", "2"}, "--trial-threads");
   ExpectRefused({"--timings-file", "t.csv"}, "--timings-file");
+  ExpectRefused({"--distance-storage", "f32"}, "--distance-storage");
   ExpectRefused({"--thread", "4"}, "--thread");
   ExpectRefused({"--trials", "3", "table"}, "table");
 }
@@ -301,7 +299,6 @@ TEST(BenchOptionsTest, MalformedNumbersAreRefused) {
 
 TEST(BenchOptionsTest, MalformedChoicesAreRefused) {
   ExpectRefused({"--cache", "maybe"}, "maybe");
-  ExpectRefused({"--distance-storage", "f16"}, "f16");
 }
 
 TEST(BenchOptionsTest, FlagErrorPrintsUsageAndExitsTwo) {

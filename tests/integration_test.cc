@@ -187,7 +187,8 @@ TEST_P(FoldSoundnessTest, TrainClosureNeverImpliesTestConstraint) {
   auto sampled = SampleConstraints(pool.value(), 0.6, &rng);
   ASSERT_TRUE(sampled.ok());
   Supervision supervision = Supervision::FromConstraints(sampled.value());
-  auto folds = MakeSupervisionFolds(data, supervision, {.n_folds = 5}, &rng);
+  auto folds = MakeSupervisionFolds(data, supervision,
+                                    {.n_folds = 5, .exec = {}}, &rng);
   ASSERT_TRUE(folds.ok());
   for (const FoldSplit& fold : *folds) {
     auto train_closure = TransitiveClosure(fold.train_constraints);
