@@ -22,7 +22,8 @@ namespace cvcp {
 /// One dendrogram node. Leaves are object singletons; internal nodes merge
 /// exactly two children at `height`. Node ids: leaves occupy [0, n), in
 /// *reachability-plot order* (leaf i covers plot position i); internal nodes
-/// occupy [n, 2n-1).
+/// occupy [n, 2n-1) in pre-order, so an internal node's id is below its
+/// internal children's.
 struct DendrogramNode {
   int left = -1;    ///< child node id, -1 for leaves
   int right = -1;   ///< child node id, -1 for leaves

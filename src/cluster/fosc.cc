@@ -1,6 +1,7 @@
 #include "cluster/fosc.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -22,6 +23,47 @@ double FiniteHeightCap(const Dendrogram& dg) {
   }
   return max_finite > 0.0 ? 1.5 * max_finite : 1.0;
 }
+
+/// Lowest common ancestor of two leaves in O(1). Every internal node splits
+/// its plot span at its right child's `begin`, and each position in
+/// [1, n) is the split of exactly one node, so the LCA of leaves pa < pb is
+/// the node splitting in (pa, pb] that is nearest the root. Internal ids
+/// are assigned pre-order (ancestors first), so that is the smallest split
+/// owner id over (pa, pb]: a range minimum, answered by a sparse table.
+class LcaIndex {
+ public:
+  explicit LcaIndex(const Dendrogram& dg) : n_(dg.num_objects()) {
+    // Level k holds the minimum owner over positions [i, i + 2^k).
+    const size_t levels = n_ > 1 ? std::bit_width(n_ - 1) : 0;
+    min_owner_.assign(levels * n_, 0);
+    for (size_t id = n_; id < dg.num_nodes(); ++id) {
+      const int right = dg.node(static_cast<int>(id)).right;
+      min_owner_[dg.node(right).begin] = static_cast<int>(id);
+    }
+    for (size_t k = 1; k < levels; ++k) {
+      const int* below = &min_owner_[(k - 1) * n_];
+      int* level = &min_owner_[k * n_];
+      const size_t half = size_t{1} << (k - 1);
+      for (size_t i = 0; i + half < n_; ++i) {
+        level[i] = std::min(below[i], below[i + half]);
+      }
+    }
+  }
+
+  /// The LCA node id of the leaves at plot positions pa != pb.
+  size_t Of(size_t pa, size_t pb) const {
+    const size_t lo = std::min(pa, pb) + 1;
+    const size_t hi = std::max(pa, pb) + 1;  // one past the range
+    const size_t k = std::bit_width(hi - lo) - 1;
+    const int* level = &min_owner_[k * n_];
+    return static_cast<size_t>(
+        std::min(level[lo], level[hi - (size_t{1} << k)]));
+  }
+
+ private:
+  size_t n_;
+  std::vector<int> min_owner_;  ///< `levels` rows of n entries
+};
 
 }  // namespace
 
@@ -48,12 +90,24 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
     pos_of[obj] = leaf;
   }
 
-  // --- Constraint objective J per node, via path accumulation. ---
+  // Bottom-up order: leaves (ids [0, n)) first — they have no children —
+  // then internal nodes from high id to low. Internal nodes are created
+  // pre-order, so every internal child has a larger id than its parent.
+  std::vector<size_t> bottom_up;
+  bottom_up.reserve(num_nodes);
+  for (size_t id = 0; id < n; ++id) bottom_up.push_back(id);
+  for (size_t id = num_nodes; id-- > n;) bottom_up.push_back(id);
+
+  // --- Constraint objective J per node, from point masses. ---
+  // J(v) = must-links with both endpoints under v, plus 1/2 per cannot-link
+  // with exactly one endpoint under v. Both endpoints lie under v iff v
+  // contains their lowest common ancestor (LCA), so the masses
+  //   must-link:   +1 at the LCA,
+  //   cannot-link: +1/2 at each endpoint leaf and -1 at the LCA
+  // summed over each subtree give J. Every term is a multiple of 1/2, so
+  // the double sums are exact in any order.
+  const LcaIndex lca(dendrogram);
   std::vector<double> j_value(num_nodes, 0.0);
-  auto contains = [&](int id, size_t pos) {
-    const DendrogramNode& nd = dendrogram.node(id);
-    return nd.begin <= pos && pos < nd.end;
-  };
   for (const Constraint& c : constraints.all()) {
     if (c.a >= n || c.b >= n) {
       return Status::InvalidArgument(
@@ -62,26 +116,18 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
     }
     const size_t pa = pos_of[c.a];
     const size_t pb = pos_of[c.b];
+    const size_t ancestor = lca.Of(pa, pb);
     if (c.type == ConstraintType::kMustLink) {
-      // +1 on every node containing both endpoints: the path from the
-      // smallest common node up to the root.
-      int id = static_cast<int>(pa);
-      while (!contains(id, pb)) id = dendrogram.node(id).parent;
-      for (; id >= 0; id = dendrogram.node(id).parent) j_value[id] += 1.0;
+      j_value[ancestor] += 1.0;
     } else {
-      // +1/2 on every node containing exactly one endpoint: the two paths
-      // from each leaf up to (excluding) the smallest common node.
-      int id = static_cast<int>(pa);
-      while (!contains(id, pb)) {
-        j_value[id] += 0.5;
-        id = dendrogram.node(id).parent;
-      }
-      id = static_cast<int>(pb);
-      while (!contains(id, pa)) {
-        j_value[id] += 0.5;
-        id = dendrogram.node(id).parent;
-      }
+      j_value[pa] += 0.5;
+      j_value[pb] += 0.5;
+      j_value[ancestor] -= 1.0;
     }
+  }
+  for (size_t id : bottom_up) {
+    const int parent = dendrogram.node(static_cast<int>(id)).parent;
+    if (parent >= 0) j_value[static_cast<size_t>(parent)] += j_value[id];
   }
 
   // --- Stability (lifetime) per node. ---
@@ -112,14 +158,6 @@ Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,
   // rule (incl. tie handling) is documented at the sweep below.
   std::vector<double> best(num_nodes, 0.0);
   std::vector<bool> take(num_nodes, false);
-
-  // Bottom-up order: leaves (ids [0, n)) first — they have no children —
-  // then internal nodes from high id to low. Internal nodes are created
-  // pre-order, so every internal child has a larger id than its parent.
-  std::vector<size_t> bottom_up;
-  bottom_up.reserve(num_nodes);
-  for (size_t id = 0; id < n; ++id) bottom_up.push_back(id);
-  for (size_t id = num_nodes; id-- > n;) bottom_up.push_back(id);
 
   // Normalize stability by the best unsupervised selection so alpha mixes
   // two [0, 1]-scale terms. First pass computes that normalizer.

@@ -55,7 +55,8 @@ struct FoscResult {
   double constraint_satisfaction = 0.0;
 };
 
-/// Runs the FOSC dynamic program. Errors with kInvalidArgument if
+/// Runs the FOSC dynamic program in O(|C| + n log n) for |C| constraints
+/// over n objects. Errors with kInvalidArgument if
 /// min_cluster_size < 1, alpha outside [0, 1], or a constraint references
 /// an object the dendrogram does not cover.
 Result<FoscResult> ExtractClusters(const Dendrogram& dendrogram,

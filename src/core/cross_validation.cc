@@ -100,6 +100,16 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
     }
   }
 
+  // Training supervision per fold, built once and shared read-only by every
+  // cell of that fold.
+  std::vector<Supervision> train;
+  train.reserve(n_folds);
+  for (const FoldSplit& fold : folds) {
+    train.push_back(kind == SupervisionKind::kLabels
+                        ? Supervision::FromLabelArray(fold.train_labels)
+                        : Supervision::FromConstraints(fold.train_constraints));
+  }
+
   std::vector<CvCellResult> results(n_cells);
   // Any error discards all scores, so cells above the lowest failure are
   // skipped (see FirstErrorTracker for why that preserves which error the
@@ -118,20 +128,15 @@ Result<std::vector<CvScore>> ScoreGridOnFolds(
       return;
     }
     const CvCell& cell = cells[c];
-    const FoldSplit& fold = folds[cell.fold];
-    // Training supervision for this fold.
-    Supervision train =
-        kind == SupervisionKind::kLabels
-            ? Supervision::FromLabelArray(fold.train_labels)
-            : Supervision::FromConstraints(fold.train_constraints);
     Rng cell_rng = cell.rng;
-    Result<Clustering> clustering = clusterer.Cluster(
-        data, train, cell.param, &cell_rng, ClusterContext{cache, exec});
+    Result<Clustering> clustering =
+        clusterer.Cluster(data, train[cell.fold], cell.param, &cell_rng,
+                          ClusterContext{cache, exec});
     CvCellResult& out = results[c];
     if (clustering.ok()) {
       out.score =
           EvaluateConstraintClassification(clustering.value(),
-                                           fold.test_constraints)
+                                           folds[cell.fold].test_constraints)
               .average;
     } else {
       out.status = clustering.status();

@@ -74,7 +74,9 @@ struct CvScore {
 
 /// Scores every grid value on prebuilt folds through the job-based
 /// scheduler: all (param, fold) cells are materialized up front, each
-/// cell's RNG is pre-forked exactly as the serial loop forks it, the
+/// fold's training supervision is built once and shared read-only by the
+/// fold's cells, each cell's RNG is pre-forked exactly as the serial loop
+/// forks it, the
 /// cells run on the shared pool (`exec`) longest-first by EstimateCost,
 /// and fold scores are reduced in (grid-order, fold-order) sequence with
 /// first-error-wins Status propagation. Returned scores are bit-identical

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "constraints/oracle.h"
 #include "core/cvcp.h"
@@ -178,6 +184,108 @@ TEST(ScoreGridOnFoldsTest, MatchesPerParamScoringForEveryThreadCount) {
           << "param " << grid[g] << ", threads " << threads;
       EXPECT_EQ((*scores)[g].valid_folds, expected[g].valid_folds);
       EXPECT_DOUBLE_EQ((*scores)[g].mean_f, expected[g].mean_f);
+    }
+  }
+}
+
+/// Records the Supervision object every cell receives, and a copy of it.
+class RecordingClusterer : public SemiSupervisedClusterer {
+ public:
+  struct Call {
+    int param;
+    const Supervision* address;
+    Supervision copy;
+  };
+
+  std::string name() const override { return "Recording"; }
+  std::string param_name() const override { return "param"; }
+
+  std::vector<Call> calls() const {
+    MutexLock lock(&mu_);
+    return calls_;
+  }
+
+ protected:
+  Result<Clustering> DoCluster(const Dataset& data,
+                               const Supervision& supervision, int param,
+                               Rng* /*rng*/,
+                               const ClusterContext& /*context*/) const override {
+    MutexLock lock(&mu_);
+    calls_.push_back(Call{param, &supervision, supervision});
+    return Clustering(std::vector<int>(data.size(), 0));
+  }
+
+ private:
+  mutable Mutex mu_;
+  mutable std::vector<Call> calls_ GUARDED_BY(mu_);
+};
+
+bool SameSupervision(const Supervision& a, const Supervision& b) {
+  return a.kind() == b.kind() && a.constraints() == b.constraints() &&
+         a.sparse_labels() == b.sparse_labels() &&
+         a.involved_objects() == b.involved_objects();
+}
+
+TEST(ScoreGridOnFoldsTest, EveryCellOfAFoldSharesOneTrainingSupervision) {
+  Dataset data = EasyData();
+  Rng rng(14);
+  auto labeled = SampleLabeledObjects(data, 0.3, &rng);
+  ASSERT_TRUE(labeled.ok());
+  auto pool = BuildConstraintPool(data, 0.2, &rng);
+  ASSERT_TRUE(pool.ok());
+  const std::vector<int> grid = {2, 3, 5};
+
+  for (const Supervision& supervision :
+       {Supervision::FromLabels(data, labeled.value()),
+        Supervision::FromConstraints(pool.value())}) {
+    auto folds = MakeSupervisionFolds(data, supervision,
+                                      {.n_folds = 4, .exec = {}}, &rng);
+    ASSERT_TRUE(folds.ok());
+    std::vector<Supervision> expected;
+    for (const FoldSplit& fold : *folds) {
+      expected.push_back(
+          supervision.kind() == SupervisionKind::kLabels
+              ? Supervision::FromLabelArray(fold.train_labels)
+              : Supervision::FromConstraints(fold.train_constraints));
+    }
+
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", " +
+                   (supervision.kind() == SupervisionKind::kLabels
+                        ? "labels"
+                        : "constraints"));
+      RecordingClusterer clusterer;
+      ExecutionContext exec;
+      exec.threads = threads;
+      Rng grid_rng(15);
+      ASSERT_TRUE(ScoreGridOnFolds(data, *folds, supervision.kind(),
+                                   clusterer, grid, &grid_rng, exec)
+                      .ok());
+
+      // One object per fold, each handed to every grid value once.
+      std::map<const Supervision*, std::vector<RecordingClusterer::Call>>
+          by_address;
+      for (const RecordingClusterer::Call& call : clusterer.calls()) {
+        by_address[call.address].push_back(call);
+      }
+      ASSERT_EQ(by_address.size(), folds->size());
+      std::set<size_t> matched_folds;
+      for (const auto& [address, calls] : by_address) {
+        std::vector<int> params;
+        for (const RecordingClusterer::Call& call : calls) {
+          params.push_back(call.param);
+          EXPECT_TRUE(SameSupervision(call.copy, calls.front().copy));
+        }
+        std::sort(params.begin(), params.end());
+        EXPECT_EQ(params, grid);
+        // ... and that object equals the supervision built from its fold.
+        for (size_t f = 0; f < expected.size(); ++f) {
+          if (SameSupervision(calls.front().copy, expected[f])) {
+            EXPECT_TRUE(matched_folds.insert(f).second) << "fold " << f;
+          }
+        }
+      }
+      EXPECT_EQ(matched_folds.size(), folds->size());
     }
   }
 }

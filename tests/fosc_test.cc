@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/optics.h"
 #include "common/rng.h"
@@ -201,6 +207,183 @@ TEST(FoscTest, DynamicProgramMatchesBruteForceOnRandomInstances) {
     ASSERT_TRUE(result.ok());
     const double brute = BruteForceBest(dg, constraints, config);
     EXPECT_NEAR(result->objective, brute, 1e-9) << "seed " << seed;
+  }
+}
+
+/// Reference extraction that computes J per node by walking leaf-to-root
+/// paths (+1 on every node holding both must-link endpoints, +1/2 on every
+/// node holding exactly one cannot-link endpoint), then runs the same
+/// selection DP and backtrack as ExtractClusters. Constraints must be in
+/// range.
+FoscResult PathWalkReference(const Dendrogram& dg,
+                             const ConstraintSet& constraints,
+                             const FoscConfig& config) {
+  const size_t n = dg.num_objects();
+  const size_t num_nodes = dg.num_nodes();
+  std::vector<size_t> pos_of(n);
+  for (size_t leaf = 0; leaf < n; ++leaf) {
+    pos_of[dg.LeafObject(static_cast<int>(leaf))] = leaf;
+  }
+  std::vector<double> j_value(num_nodes, 0.0);
+  auto contains = [&](int id, size_t pos) {
+    return dg.node(id).begin <= pos && pos < dg.node(id).end;
+  };
+  for (const Constraint& c : constraints.all()) {
+    const size_t pa = pos_of[c.a];
+    const size_t pb = pos_of[c.b];
+    if (c.type == ConstraintType::kMustLink) {
+      int id = static_cast<int>(pa);
+      while (!contains(id, pb)) id = dg.node(id).parent;
+      for (; id >= 0; id = dg.node(id).parent) j_value[id] += 1.0;
+    } else {
+      for (auto [from, other] : {std::pair{pa, pb}, std::pair{pb, pa}}) {
+        for (int id = static_cast<int>(from); !contains(id, other);
+             id = dg.node(id).parent) {
+          j_value[id] += 0.5;
+        }
+      }
+    }
+  }
+
+  double max_finite = 0.0;
+  for (size_t id = 0; id < num_nodes; ++id) {
+    const double h = dg.node(static_cast<int>(id)).height;
+    if (std::isfinite(h)) max_finite = std::max(max_finite, h);
+  }
+  const double cap = max_finite > 0.0 ? 1.5 * max_finite : 1.0;
+  std::vector<double> stability(num_nodes, 0.0);
+  for (size_t id = 0; id < num_nodes; ++id) {
+    const DendrogramNode& nd = dg.node(static_cast<int>(id));
+    if (nd.parent < 0) continue;
+    double h_parent = dg.node(nd.parent).height;
+    double h_node = nd.is_leaf() ? 0.0 : nd.height;
+    if (!std::isfinite(h_parent)) h_parent = cap;
+    if (!std::isfinite(h_node)) h_node = cap;
+    stability[id] =
+        static_cast<double>(nd.size()) * std::max(0.0, h_parent - h_node);
+  }
+  auto eligible = [&](size_t id) {
+    return dg.node(static_cast<int>(id)).size() >= config.min_cluster_size &&
+           (static_cast<int>(id) != dg.root() || config.allow_root);
+  };
+  std::vector<size_t> bottom_up;
+  for (size_t id = 0; id < n; ++id) bottom_up.push_back(id);
+  for (size_t id = num_nodes; id-- > n;) bottom_up.push_back(id);
+  auto children_sum = [&](const std::vector<double>& v, size_t id) {
+    const DendrogramNode& nd = dg.node(static_cast<int>(id));
+    return nd.is_leaf() ? 0.0
+                        : v[static_cast<size_t>(nd.left)] +
+                              v[static_cast<size_t>(nd.right)];
+  };
+
+  double stability_norm = 1.0;
+  if (config.alpha < 1.0) {
+    std::vector<double> sbest(num_nodes, 0.0);
+    for (size_t id : bottom_up) {
+      sbest[id] = std::max(children_sum(sbest, id),
+                           eligible(id) ? stability[id] : -kInf);
+    }
+    const double root_best = sbest[static_cast<size_t>(dg.root())];
+    if (root_best > 0.0) stability_norm = root_best;
+  }
+  const double j_scale =
+      constraints.empty() ? 1.0 : static_cast<double>(constraints.size());
+  std::vector<double> best(num_nodes, 0.0);
+  std::vector<bool> take(num_nodes, false);
+  for (size_t id : bottom_up) {
+    const double children = children_sum(best, id);
+    const double own =
+        eligible(id) ? config.alpha * (j_value[id] / j_scale) +
+                           (1.0 - config.alpha) *
+                               (stability[id] / stability_norm)
+                     : -kInf;
+    take[id] = own > children + 1e-9 || (own > 1e-9 && own >= children - 1e-9);
+    best[id] = take[id] ? std::max(own, children) : children;
+  }
+
+  FoscResult result;
+  std::vector<int> assignment(n, kNoise);
+  std::vector<int> stack = {dg.root()};
+  double selected_j = 0.0;
+  while (!stack.empty()) {
+    const int id = stack.back();
+    stack.pop_back();
+    if (take[static_cast<size_t>(id)]) {
+      const int cluster = static_cast<int>(result.selected_nodes.size());
+      result.selected_nodes.push_back(id);
+      selected_j += j_value[static_cast<size_t>(id)];
+      for (size_t obj : dg.MembersOf(id)) assignment[obj] = cluster;
+    } else if (!dg.node(id).is_leaf()) {
+      stack.push_back(dg.node(id).right);
+      stack.push_back(dg.node(id).left);
+    }
+  }
+  result.clustering = Clustering(std::move(assignment));
+  result.objective = best[static_cast<size_t>(dg.root())];
+  result.constraint_satisfaction =
+      constraints.empty()
+          ? std::numeric_limits<double>::quiet_NaN()
+          : selected_j / static_cast<double>(constraints.size());
+  return result;
+}
+
+TEST(FoscTest, PointMassObjectiveBitwiseEqualsPathWalkReference) {
+  for (size_t n : {2, 3, 17, 200}) {
+    for (uint64_t seed = 0; seed < 25; ++seed) {
+      Rng rng(1000 * n + seed);
+      // Reachability quantized to three levels, so interior ties are the
+      // rule, plus interior +inf: several OPTICS components per plot.
+      std::vector<double> reach(n);
+      reach[0] = kInf;
+      for (size_t i = 1; i < n; ++i) {
+        reach[i] = rng.NextDouble() < 0.1
+                       ? kInf
+                       : 0.5 * static_cast<double>(1 + rng.Index(3));
+      }
+      Dendrogram dg =
+          Dendrogram::FromReachability(FakePlot(rng.Permutation(n), reach));
+
+      // Must- and cannot-links, about a third reusing the previous
+      // constraint's endpoint. Conflicting additions are skipped.
+      ConstraintSet constraints;
+      size_t a = rng.Index(n);
+      for (size_t c = 0; c < 2 * n; ++c) {
+        if (rng.NextDouble() >= 0.3) a = rng.Index(n);
+        const size_t b = rng.Index(n);
+        if (a == b) continue;
+        (void)constraints.Add(a, b,
+                              rng.NextDouble() < 0.5
+                                  ? ConstraintType::kMustLink
+                                  : ConstraintType::kCannotLink);
+      }
+
+      for (double alpha : {1.0, 0.5}) {
+        for (size_t min_size : {size_t{1}, size_t{2}, size_t{5}}) {
+          FoscConfig config;
+          config.alpha = alpha;
+          config.min_cluster_size = min_size;
+          config.allow_root = seed % 2 == 1;
+          auto result = ExtractClusters(dg, constraints, config);
+          ASSERT_TRUE(result.ok());
+          const FoscResult expected =
+              PathWalkReference(dg, constraints, config);
+          const std::string where =
+              "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+              " alpha=" + std::to_string(alpha) +
+              " min_size=" + std::to_string(min_size);
+          EXPECT_EQ(std::bit_cast<uint64_t>(result->objective),
+                    std::bit_cast<uint64_t>(expected.objective))
+              << where;
+          EXPECT_EQ(std::bit_cast<uint64_t>(result->constraint_satisfaction),
+                    std::bit_cast<uint64_t>(expected.constraint_satisfaction))
+              << where;
+          EXPECT_EQ(result->selected_nodes, expected.selected_nodes) << where;
+          EXPECT_EQ(result->clustering.assignment(),
+                    expected.clustering.assignment())
+              << where;
+        }
+      }
+    }
   }
 }
 

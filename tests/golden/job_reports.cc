@@ -49,20 +49,13 @@ const char* ScenarioName(SupervisionKind scenario) {
   return scenario == SupervisionKind::kLabels ? "labels" : "constraints";
 }
 
-class MatrixWriter {
- public:
-  explicit MatrixWriter(std::string out_dir) : out_dir_(std::move(out_dir)) {}
-
-  void Write(const std::string& row, const std::string& bytes) const {
-    std::ofstream file(out_dir_ + "/" + row + ".rprt", std::ios::binary);
-    file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    CVCP_CHECK(file.good());
-    std::printf("%s\n", row.c_str());
-  }
-
- private:
-  std::string out_dir_;
-};
+void WriteRow(const std::string& out_dir, const std::string& row,
+              const std::string& bytes) {
+  std::ofstream file(out_dir + "/" + row + ".rprt", std::ios::binary);
+  file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  CVCP_CHECK(file.good());
+  std::printf("%s\n", row.c_str());
+}
 
 std::string DirectBytes(const Dataset& data, const JobSpec& spec, int threads,
                         DatasetCache* cache) {
@@ -84,7 +77,7 @@ std::string ServedBytes(const std::string& socket, const JobSpec& spec) {
   return reply->report_bytes;
 }
 
-void RunClusterer(const std::string& clusterer, const MatrixWriter& writer) {
+void RunClusterer(const std::string& clusterer, const std::string& out_dir) {
   char tmpl[] = "/tmp/cvcp_golden.XXXXXX";  // short: AF_UNIX path cap
   const char* base_dir = ::mkdtemp(tmpl);
   CVCP_CHECK(base_dir != nullptr);
@@ -113,34 +106,34 @@ void RunClusterer(const std::string& clusterer, const MatrixWriter& writer) {
   for (size_t s = 0; s < specs.size(); ++s) {
     for (int threads : kThreadWidths) {
       const std::string row = prefixes[s] + std::to_string(threads);
-      writer.Write(row + ".off.direct",
-                   DirectBytes(data, specs[s], threads, nullptr));
+      WriteRow(out_dir, row + ".off.direct",
+               DirectBytes(data, specs[s], threads, nullptr));
       DatasetCache memory(data.points());
-      writer.Write(row + ".memory.direct",
-                   DirectBytes(data, specs[s], threads, &memory));
+      WriteRow(out_dir, row + ".memory.direct",
+               DirectBytes(data, specs[s], threads, &memory));
       ArtifactStore store(store_dir);
       DatasetCache warm(data.points(), DatasetCacheTiers{nullptr, &store});
-      writer.Write(row + ".store.direct",
-                   DirectBytes(data, specs[s], threads, &warm));
+      WriteRow(out_dir, row + ".store.direct",
+               DirectBytes(data, specs[s], threads, &warm));
     }
   }
 
   int server_index = 0;
   for (int threads : kThreadWidths) {
-    for (const char* cache : {"off", "memory", "store"}) {
+    for (const std::string cache : {"off", "memory", "store"}) {
       const std::string dir = base + "/s" + std::to_string(server_index++);
       ServerConfig config;
       config.socket_path = dir + ".sock";
       config.results_dir = dir;
       config.threads = threads;
-      if (std::string(cache) == "off") config.cache_capacity_bytes = 0;
-      if (std::string(cache) == "store") config.store_dir = store_dir;
+      if (cache == "off") config.cache_capacity_bytes = 0;
+      if (cache == "store") config.store_dir = store_dir;
       Server server(config);
       CVCP_CHECK(server.Start().ok());
       for (size_t s = 0; s < specs.size(); ++s) {
-        writer.Write(prefixes[s] + std::to_string(threads) + "." + cache +
-                         ".served",
-                     ServedBytes(config.socket_path, specs[s]));
+        WriteRow(out_dir,
+                 prefixes[s] + std::to_string(threads) + "." + cache + ".served",
+                 ServedBytes(config.socket_path, specs[s]));
       }
       server.Stop(/*drain=*/true);
     }
@@ -154,6 +147,7 @@ void RunClusterer(const std::string& clusterer, const MatrixWriter& writer) {
 int main(int argc, char** argv) {
   std::string out_dir;
   std::vector<std::string> clusterers = {"fosc", "mpck", "copk", "kmeans"};
+  bool usage_error = argc % 2 == 0;
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string flag = argv[i];
     if (flag == "--out") {
@@ -161,18 +155,16 @@ int main(int argc, char** argv) {
     } else if (flag == "--clusterer") {
       clusterers = {argv[i + 1]};
     } else {
-      out_dir.clear();
-      break;
+      usage_error = true;
     }
   }
-  if (out_dir.empty() || argc % 2 == 0) {
+  if (usage_error || out_dir.empty()) {
     std::fprintf(stderr, "usage: %s --out DIR [--clusterer NAME]\n", argv[0]);
     return 2;
   }
   std::filesystem::create_directories(out_dir);
-  const cvcp::MatrixWriter writer(out_dir);
   for (const std::string& clusterer : clusterers) {
-    cvcp::RunClusterer(clusterer, writer);
+    cvcp::RunClusterer(clusterer, out_dir);
   }
   return 0;
 }
