@@ -1,6 +1,6 @@
 // Golden job-report matrix: runs one small JobSpec per (clusterer,
 // scenario) under every execution setting the determinism contract
-// covers, and writes each encoded CvcpReport to `<out>/<row>.rprt`:
+// covers, and writes each encoded CvcpReport to `<out>/<row>`:
 //
 //   job_reports --out DIR [--clusterer fosc|mpck|copk|kmeans]
 //
@@ -9,7 +9,7 @@
 // memory, store} and mode in {direct, served}. `store` runs against an
 // artifact store that a cold run filled first; `served` submits to an
 // in-process Server over its socket. Each row name is printed on stdout;
-// check_job_reports.cmake hashes the files against job_reports.sha256.
+// check_digests.cmake hashes the files against job_reports.sha256.
 
 #include <stdlib.h>
 
@@ -51,7 +51,7 @@ const char* ScenarioName(SupervisionKind scenario) {
 
 void WriteRow(const std::string& out_dir, const std::string& row,
               const std::string& bytes) {
-  std::ofstream file(out_dir + "/" + row + ".rprt", std::ios::binary);
+  std::ofstream file(out_dir + "/" + row, std::ios::binary);
   file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   CVCP_CHECK(file.good());
   std::printf("%s\n", row.c_str());
