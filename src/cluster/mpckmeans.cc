@@ -6,6 +6,7 @@
 
 #include "cluster/kmeans.h"
 #include "common/distance.h"
+#include "common/distance_kernels.h"
 #include "common/strings.h"
 #include "constraints/transitive_closure.h"
 
@@ -16,30 +17,36 @@ namespace {
 constexpr double kMinWeight = 1e-9;
 constexpr double kMaxWeight = 1e9;
 
+/// One endpoint's view of a must-link: the partner, and the must-link's
+/// slot (its index in `Adjacency::must_links`), which picks its row of
+/// MpckState's must-link distance table. Violation weights are per type
+/// (`MpckMeansConfig`), so they are not stored per pair.
 struct Pair {
   size_t other;
-  double weight;
+  size_t slot;
 };
 
-/// Constraint adjacency: for each object, the must-link and cannot-link
-/// partners with their violation weights.
+/// Constraint adjacency: for each object, its must-link and cannot-link
+/// partners, plus every must-link by slot.
 struct Adjacency {
   std::vector<std::vector<Pair>> must;
-  std::vector<std::vector<Pair>> cannot;
+  std::vector<std::vector<size_t>> cannot;
+  std::vector<Constraint> must_links;
 };
 
-Adjacency BuildAdjacency(const ConstraintSet& constraints, size_t n,
-                         const MpckMeansConfig& config) {
+Adjacency BuildAdjacency(const ConstraintSet& constraints, size_t n) {
   Adjacency adj;
   adj.must.resize(n);
   adj.cannot.resize(n);
   for (const Constraint& c : constraints.all()) {
     if (c.type == ConstraintType::kMustLink) {
-      adj.must[c.a].push_back({c.b, config.must_link_weight});
-      adj.must[c.b].push_back({c.a, config.must_link_weight});
+      const size_t slot = adj.must_links.size();
+      adj.must[c.a].push_back({c.b, slot});
+      adj.must[c.b].push_back({c.a, slot});
+      adj.must_links.push_back(c);
     } else {
-      adj.cannot[c.a].push_back({c.b, config.cannot_link_weight});
-      adj.cannot[c.b].push_back({c.a, config.cannot_link_weight});
+      adj.cannot[c.a].push_back(c.b);
+      adj.cannot[c.b].push_back(c.a);
     }
   }
   return adj;
@@ -75,20 +82,26 @@ class MpckState {
         n_(points.rows()),
         d_(points.cols()),
         k_(static_cast<size_t>(config.k)),
-        adj_(BuildAdjacency(constraints, n_, config)),
+        weighted_(GetDistanceKernels().weighted_squared_euclidean),
+        adj_(BuildAdjacency(constraints, n_)),
         sq_range_(SquaredRanges(points)),
         centroids_(k_, d_),
         weights_(k_, d_, 1.0),
         log_det_(k_, 0.0),
-        assignment_(n_, 0) {
+        assignment_(n_, 0),
+        point_dist_(n_ * k_),
+        must_dist_(adj_.must_links.size() * k_) {
     RecomputeMaxSeparations();
   }
 
-  void SetCentroids(Matrix init) { centroids_ = std::move(init); }
+  void SetCentroids(Matrix init) {
+    centroids_ = std::move(init);
+    RefreshDistances();
+  }
 
-  double WeightedDist(std::span<const double> a, std::span<const double> b,
-                      size_t cluster) const {
-    return WeightedSquaredEuclidean(a, b, weights_.Row(cluster));
+  double WeightedDist(size_t i, size_t j, size_t cluster) const {
+    return weighted_(points_.Row(i).data(), points_.Row(j).data(),
+                     weights_.Row(cluster).data(), d_);
   }
 
   /// Cannot-link penalty scale for a cluster: metric-weighted squared
@@ -100,24 +113,21 @@ class MpckState {
 
   /// Cost of putting object i into cluster h given current assignments.
   double AssignmentCost(size_t i, size_t h) const {
-    double cost = WeightedDist(points_.Row(i), centroids_.Row(h), h) -
-                  log_det_[h];
+    double cost = point_dist_[i * k_ + h] - log_det_[h];
     for (const Pair& p : adj_.must[i]) {
       const size_t lj = static_cast<size_t>(assignment_[p.other]);
       if (lj != h) {
         // Violated must-link: average of the penalty under both metrics.
-        const double f_h = WeightedDist(points_.Row(i), points_.Row(p.other), h);
-        const double f_j =
-            WeightedDist(points_.Row(i), points_.Row(p.other), lj);
-        cost += p.weight * 0.5 * (f_h + f_j);
+        const double* f = &must_dist_[p.slot * k_];
+        cost += config_.must_link_weight * 0.5 * (f[h] + f[lj]);
       }
     }
-    for (const Pair& p : adj_.cannot[i]) {
-      if (static_cast<size_t>(assignment_[p.other]) == h) {
+    for (size_t j : adj_.cannot[i]) {
+      if (static_cast<size_t>(assignment_[j]) == h) {
         // Violated cannot-link: the closer the pair, the larger the penalty.
-        const double f =
-            WeightedDist(points_.Row(i), points_.Row(p.other), h);
-        cost += p.weight * std::max(0.0, MaxSeparation(h) - f);
+        const double f = WeightedDist(i, j, h);
+        cost +=
+            config_.cannot_link_weight * std::max(0.0, MaxSeparation(h) - f);
       }
     }
     return cost;
@@ -144,6 +154,47 @@ class MpckState {
     return changes;
   }
 
+  /// M-step: new centroids, then new metrics, then the distance tables
+  /// for both.
+  void MStep(Rng* rng) {
+    UpdateCentroids(rng);
+    UpdateMetrics();
+    RefreshDistances();
+  }
+
+  /// Full objective at the current state.
+  double Objective() const {
+    double obj = 0.0;
+    for (size_t i = 0; i < n_; ++i) {
+      const size_t h = static_cast<size_t>(assignment_[i]);
+      obj += point_dist_[i * k_ + h] - log_det_[h];
+    }
+    for (size_t i = 0; i < n_; ++i) {
+      const size_t li = static_cast<size_t>(assignment_[i]);
+      for (const Pair& p : adj_.must[i]) {
+        if (i > p.other) continue;
+        const size_t lj = static_cast<size_t>(assignment_[p.other]);
+        if (li == lj) continue;
+        const double* f = &must_dist_[p.slot * k_];
+        obj += config_.must_link_weight * 0.5 * (f[li] + f[lj]);
+      }
+      for (size_t j : adj_.cannot[i]) {
+        if (i > j) continue;
+        if (static_cast<size_t>(assignment_[j]) != li) continue;
+        const double f = WeightedDist(i, j, li);
+        obj += config_.cannot_link_weight *
+               std::max(0.0, MaxSeparation(li) - f);
+      }
+    }
+    return obj;
+  }
+
+  const std::vector<int>& assignment() const { return assignment_; }
+  const Matrix& centroids() const { return centroids_; }
+  const Matrix& weights() const { return weights_; }
+  size_t n() const { return n_; }
+
+ private:
   /// Recomputes centroids; empty clusters are re-seeded at a random point.
   void UpdateCentroids(Rng* rng) {
     Matrix sums(k_, d_, 0.0);
@@ -195,21 +246,21 @@ class MpckState {
         auto xj = points_.Row(p.other);
         for (size_t m = 0; m < d_; ++m) {
           const double diff = xi[m] - xj[m];
-          const double contrib = p.weight * 0.5 * diff * diff;
+          const double contrib = config_.must_link_weight * 0.5 * diff * diff;
           denom.At(li, m) += 0.5 * contrib;
           denom.At(lj, m) += 0.5 * contrib;
         }
       }
-      for (const Pair& p : adj_.cannot[i]) {
-        if (i > p.other) continue;
-        const size_t lj = static_cast<size_t>(assignment_[p.other]);
+      for (size_t j : adj_.cannot[i]) {
+        if (i > j) continue;
+        const size_t lj = static_cast<size_t>(assignment_[j]);
         if (li != lj) continue;
         auto xi = points_.Row(i);
-        auto xj = points_.Row(p.other);
+        auto xj = points_.Row(j);
         for (size_t m = 0; m < d_; ++m) {
           const double diff = xi[m] - xj[m];
-          denom.At(li, m) +=
-              p.weight * std::max(0.0, sq_range_[m] - diff * diff);
+          denom.At(li, m) += config_.cannot_link_weight *
+                             std::max(0.0, sq_range_[m] - diff * diff);
         }
       }
     }
@@ -248,42 +299,31 @@ class MpckState {
     RecomputeMaxSeparations();
   }
 
-  /// Full objective at the current state.
-  double Objective() const {
-    double obj = 0.0;
+  /// Refills both distance tables from the current centroids and metric
+  /// weights: point_dist_[i*k + h] = d_h(x_i, c_h), and must_dist_[s*k + h]
+  /// = d_h(x_a, x_b) for must-link s = (a, b). Runs once the initial
+  /// centroids are set and after every M-step, in every MetricMode (the
+  /// centroids move even when the metric does not), so the assign step
+  /// and Objective read values instead of calling the kernel. Each value
+  /// is the kernel on the operands the on-demand call would pass; a
+  /// must-link's value serves both endpoints because fl(a-b) = -fl(b-a)
+  /// makes the kernel bitwise symmetric.
+  void RefreshDistances() {
     for (size_t i = 0; i < n_; ++i) {
-      const size_t h = static_cast<size_t>(assignment_[i]);
-      obj += WeightedDist(points_.Row(i), centroids_.Row(h), h) - log_det_[h];
-    }
-    for (size_t i = 0; i < n_; ++i) {
-      const size_t li = static_cast<size_t>(assignment_[i]);
-      for (const Pair& p : adj_.must[i]) {
-        if (i > p.other) continue;
-        const size_t lj = static_cast<size_t>(assignment_[p.other]);
-        if (li == lj) continue;
-        const double f_i =
-            WeightedDist(points_.Row(i), points_.Row(p.other), li);
-        const double f_j =
-            WeightedDist(points_.Row(i), points_.Row(p.other), lj);
-        obj += p.weight * 0.5 * (f_i + f_j);
-      }
-      for (const Pair& p : adj_.cannot[i]) {
-        if (i > p.other) continue;
-        if (static_cast<size_t>(assignment_[p.other]) != li) continue;
-        const double f =
-            WeightedDist(points_.Row(i), points_.Row(p.other), li);
-        obj += p.weight * std::max(0.0, MaxSeparation(li) - f);
+      const double* x = points_.Row(i).data();
+      for (size_t h = 0; h < k_; ++h) {
+        point_dist_[i * k_ + h] =
+            weighted_(x, centroids_.Row(h).data(), weights_.Row(h).data(), d_);
       }
     }
-    return obj;
+    for (size_t s = 0; s < adj_.must_links.size(); ++s) {
+      const Constraint& c = adj_.must_links[s];
+      for (size_t h = 0; h < k_; ++h) {
+        must_dist_[s * k_ + h] = WeightedDist(c.a, c.b, h);
+      }
+    }
   }
 
-  const std::vector<int>& assignment() const { return assignment_; }
-  const Matrix& centroids() const { return centroids_; }
-  const Matrix& weights() const { return weights_; }
-  size_t n() const { return n_; }
-
- private:
   /// Refreshes the cached per-cluster MaxSeparation values. Same loop,
   /// same summation order as the old per-call computation, so the cached
   /// doubles are bitwise-identical to computing on demand; it just runs
@@ -301,6 +341,9 @@ class MpckState {
   const Matrix& points_;
   const MpckMeansConfig& config_;
   size_t n_, d_, k_;
+  /// The dispatched weighted kernel, resolved once per run.
+  double (*weighted_)(const double* a, const double* b, const double* w,
+                      size_t n);
   Adjacency adj_;
   std::vector<double> sq_range_;
   Matrix centroids_;
@@ -308,6 +351,8 @@ class MpckState {
   std::vector<double> log_det_;
   std::vector<double> max_sep_;  ///< cached MaxSeparation per cluster
   std::vector<int> assignment_;
+  std::vector<double> point_dist_;  ///< n x k, see RefreshDistances
+  std::vector<double> must_dist_;   ///< |ML| x k, see RefreshDistances
 };
 
 /// Neighborhood-based initialization: centroids of the lambda largest
@@ -416,8 +461,7 @@ Result<MpckMeansResult> RunMpckMeans(const Matrix& points,
   for (iter = 0; iter < config.max_iters; ++iter) {
     std::vector<size_t> order = rng->Permutation(state.n());
     const size_t changes = state.AssignStep(order);
-    state.UpdateCentroids(rng);
-    state.UpdateMetrics();
+    state.MStep(rng);
     obj = state.Objective();
     const bool obj_converged =
         std::isfinite(prev_obj) &&

@@ -29,15 +29,6 @@ double CosineDistance(std::span<const double> a, std::span<const double> b) {
   return GetDistanceKernels().cosine(a.data(), b.data(), a.size());
 }
 
-double WeightedSquaredEuclidean(std::span<const double> a,
-                                std::span<const double> b,
-                                std::span<const double> weights) {
-  CVCP_DCHECK_EQ(a.size(), b.size());
-  CVCP_DCHECK_EQ(a.size(), weights.size());
-  return GetDistanceKernels().weighted_squared_euclidean(
-      a.data(), b.data(), weights.data(), a.size());
-}
-
 double Distance(std::span<const double> a, std::span<const double> b,
                 Metric metric) {
   switch (metric) {

@@ -2,8 +2,7 @@
 #define CVCP_COMMON_DISTANCE_H_
 
 /// \file
-/// Distance metrics and a condensed pairwise distance matrix. Weighted
-/// squared Euclidean (diagonal Mahalanobis) is the form MPCKMeans learns.
+/// Distance metrics and a condensed pairwise distance matrix.
 ///
 /// Every entry point runs the fixed-lane kernels (common/distance_kernels.h),
 /// so results are bitwise-identical for any thread count, tiling, and
@@ -36,12 +35,6 @@ double SquaredEuclideanDistance(std::span<const double> a,
                                 std::span<const double> b);
 double ManhattanDistance(std::span<const double> a, std::span<const double> b);
 double CosineDistance(std::span<const double> a, std::span<const double> b);
-
-/// Diagonal-Mahalanobis squared distance: sum_m w[m] * (a[m]-b[m])^2.
-/// Weights must be non-negative.
-double WeightedSquaredEuclidean(std::span<const double> a,
-                                std::span<const double> b,
-                                std::span<const double> weights);
 
 /// Precomputed symmetric pairwise distances, condensed upper-triangular
 /// storage: n*(n-1)/2 doubles. Diagonal is implicitly zero.

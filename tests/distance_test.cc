@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "common/distance_kernels.h"
+
 namespace cvcp {
 namespace {
 
@@ -40,12 +42,13 @@ TEST(DistanceTest, CosineZeroVectorConvention) {
 }
 
 TEST(DistanceTest, WeightedSquaredEuclidean) {
+  const auto weighted = GetDistanceKernels().weighted_squared_euclidean;
   std::vector<double> w = {2.0, 0.5, 1.0};
   // 2*(1)^2 + 0.5*(2)^2 + 1*(2)^2 = 2 + 2 + 4 = 8.
-  EXPECT_DOUBLE_EQ(WeightedSquaredEuclidean(kA, kB, w), 8.0);
+  EXPECT_DOUBLE_EQ(weighted(kA.data(), kB.data(), w.data(), 3), 8.0);
   // All-ones weights reduce to squared Euclidean.
   std::vector<double> ones = {1.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(WeightedSquaredEuclidean(kA, kB, ones),
+  EXPECT_DOUBLE_EQ(weighted(kA.data(), kB.data(), ones.data(), 3),
                    SquaredEuclideanDistance(kA, kB));
 }
 

@@ -4,14 +4,18 @@
 // Shared fixtures for the Service* suites: a scratch directory tree with
 // a *short* socket path (AF_UNIX caps sun_path around 108 bytes, so the
 // gtest scratch dir — which nests deeply under some runners — is unsafe;
-// mkdtemp under /tmp is not), a small fast job spec, and a Gate that
+// mkdtemp under /tmp is not) that is removed when its owner goes out of
+// scope, a small fast job spec, and a Gate that
 // parks executor threads deterministically through the server's
 // before_job_hook (no sleeps — the admission and fault tests control
 // exactly when a job may proceed).
 
 #include <stdlib.h>
 
+#include <filesystem>
 #include <string>
+#include <system_error>
+#include <utility>
 
 #include "common/check.h"
 #include "common/mutex.h"
@@ -21,11 +25,27 @@
 
 namespace cvcp {
 
+/// A mkdtemp tree for one test; the destructor removes it with everything
+/// in it. Movable but not copyable or assignable, so exactly one owner
+/// removes it: a restart or recovery test keeps one scratch across every
+/// server it starts.
 struct ServiceScratch {
   std::string base;
   std::string socket;
   std::string results;
   std::string store;
+
+  ServiceScratch() = default;
+  ServiceScratch(ServiceScratch&& other) noexcept
+      : base(std::exchange(other.base, {})),
+        socket(std::move(other.socket)),
+        results(std::move(other.results)),
+        store(std::move(other.store)) {}
+  ~ServiceScratch() {
+    if (base.empty()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(base, ignored);
+  }
 };
 
 inline ServiceScratch MakeServiceScratch() {
